@@ -1,14 +1,16 @@
 #pragma once
 
-#include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
-#include <thread>
+#include <mutex>
+#include <stop_token>
 
 /// \file stopwatch.h
 /// Wall-clock timer over std::chrono::steady_clock for live-layer
 /// measurements (benchmarks use google-benchmark's own timing; this is for
-/// counters and progress reporting).
+/// counters and progress reporting), and the wake-up every daemon loop
+/// paces itself with.
 
 namespace mh {
 
@@ -38,17 +40,34 @@ class Stopwatch {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Sleeps up to `total`, waking early (within ~10 ms) when the stop token
-/// fires — daemon heartbeat loops use this so shutdown never waits out a
-/// full interval.
-inline void interruptibleSleep(const std::stop_token& token,
-                               std::chrono::milliseconds total) {
-  constexpr auto kSlice = std::chrono::milliseconds(10);
-  auto remaining = total;
-  while (remaining.count() > 0 && !token.stop_requested()) {
-    std::this_thread::sleep_for(std::min(kSlice, remaining));
-    remaining -= kSlice;
+/// Paces a daemon loop. wait() blocks for one interval and returns early
+/// when another thread calls notify() (a push: news that should not wait
+/// out the interval) or when the loop's stop token fires, so shutdown never
+/// waits out an interval either. Notifications that arrive while the loop
+/// is busy coalesce into one early return.
+class Wakeup {
+ public:
+  /// Returns false once `token` has been stopped; true after a timeout or
+  /// a notify().
+  bool wait(const std::stop_token& token, std::chrono::milliseconds interval) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait_for(lock, token, interval, [this] { return notified_; });
+    notified_ = false;
+    return !token.stop_requested();
   }
-}
+
+  void notify() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      notified_ = true;
+    }
+    cv_.notify_one();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable_any cv_;
+  bool notified_ = false;
+};
 
 }  // namespace mh

@@ -17,7 +17,11 @@
 /// The DAG is span parent/child edges plus the engine's happens-before
 /// rules: every reduce needs every map's output before its merge can run,
 /// so the path runs root -> last-finishing reduce -> (gate) last-finishing
-/// map, and un-spanned stretches of the root are scheduling gaps. Under
+/// map, and from there back through the map waves: each map's predecessor
+/// is the latest-ending map that ended before it started. Un-spanned
+/// stretches of the root are scheduling gaps, each cut at the JobTracker's
+/// SUBMIT / TASK_REPORTED / TASK_ASSIGNED instants into steps labelled with
+/// their cause (client-wait, report-wait, assign-wait, launch). Under
 /// slowstart (mapred.reduce.slowstart.completed.maps < 1.0) the reduce span
 /// overlaps the map phase; attribution clips it to the stretch after the
 /// map gate, so the overlapped shuffle is never double-counted and the
@@ -62,6 +66,11 @@ struct CriticalPathStep {
   std::string component;  ///< Owning swimlane ("" for gaps).
   int64_t start_us = 0;
   int64_t dur_us = 0;
+  /// Gaps only: why the path waited. "client-wait" (job not yet queued),
+  /// "report-wait" (an attempt ended, the JobTracker has not heard),
+  /// "assign-wait" (the JobTracker knows, the next attempt is not handed
+  /// out) or "launch" (assignment on its way to a task slot).
+  std::string cause;
 };
 
 struct CriticalPathPhase {
@@ -79,6 +88,8 @@ struct CriticalPathReport {
   /// Phase with the largest attribution ("" when not found).
   std::string dominantPhase() const;
   int64_t phaseMicros(std::string_view phase) const;
+  /// Scheduling-gap time labelled with `cause` (see CriticalPathStep).
+  int64_t gapMicros(std::string_view cause) const;
 
   /// Human-readable "where the time went" report.
   std::string renderAscii() const;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string_view>
 #include <unordered_map>
@@ -146,6 +147,14 @@ int64_t CriticalPathReport::phaseMicros(std::string_view phase) const {
   return 0;
 }
 
+int64_t CriticalPathReport::gapMicros(std::string_view cause) const {
+  int64_t micros = 0;
+  for (const auto& step : steps) {
+    if (step.cause == cause) micros += step.dur_us;
+  }
+  return micros;
+}
+
 std::string CriticalPathReport::renderAscii() const {
   std::string out;
   if (!found) {
@@ -157,9 +166,11 @@ std::string CriticalPathReport::renderAscii() const {
          formatMs(total_us) + " ms):\n";
   for (const auto& step : steps) {
     char line[160];
+    const std::string name =
+        step.cause.empty() ? step.name : step.name + " " + step.cause;
     std::snprintf(line, sizeof(line), "  %-22s %-28s @%8s ms  +%8s ms\n",
                   step.component.empty() ? "-" : step.component.c_str(),
-                  step.name.c_str(), formatMs(step.start_us).c_str(),
+                  name.c_str(), formatMs(step.start_us).c_str(),
                   formatMs(step.dur_us).c_str());
     out += line;
   }
@@ -178,6 +189,15 @@ std::string CriticalPathReport::renderAscii() const {
                       .c_str());
     out += line;
   }
+  std::string causes;
+  for (const char* cause :
+       {"client-wait", "report-wait", "assign-wait", "launch"}) {
+    if (const int64_t micros = gapMicros(cause); micros > 0) {
+      causes += std::string(causes.empty() ? "" : ", ") + cause + " " +
+                formatMs(micros) + " ms";
+    }
+  }
+  if (!causes.empty()) out += "scheduling by cause: " + causes + "\n";
   return out;
 }
 
@@ -197,7 +217,10 @@ std::string CriticalPathReport::exportJson() const {
     out += "{\"name\":\"" + steps[i].name + "\",\"component\":\"" +
            steps[i].component +
            "\",\"start_us\":" + std::to_string(steps[i].start_us) +
-           ",\"dur_us\":" + std::to_string(steps[i].dur_us) + "}";
+           ",\"dur_us\":" + std::to_string(steps[i].dur_us) +
+           (steps[i].cause.empty() ? ""
+                                   : ",\"cause\":\"" + steps[i].cause + "\"") +
+           "}";
   }
   out += "]}";
   return out;
@@ -230,18 +253,60 @@ CriticalPathReport computeCriticalPath(const std::vector<TraceEvent>& events,
   report.found = true;
   report.total_us = root->event->dur_us;
 
-  // Last-finishing reduce and map attempts anywhere in the trace: the
-  // happens-before gates of the engine (all maps -> any reduce).
-  const SpanNode* last_map = nullptr;
+  // Every map attempt, and the last-finishing reduce: the happens-before
+  // gate of the engine is all maps -> any reduce.
+  std::vector<const SpanNode*> maps;
   const SpanNode* last_reduce = nullptr;
   for (const auto& [id, node] : index.spans) {
     const auto phase = classifyTracePhase(node.event->name);
-    if (phase == "map" && (last_map == nullptr || node.end() > last_map->end()))
-      last_map = &node;
+    if (phase == "map") maps.push_back(&node);
     if (phase == "reduce" &&
         (last_reduce == nullptr || node.end() > last_reduce->end()))
       last_reduce = &node;
   }
+  // The map waves: from the last-finishing map, step back to the
+  // latest-ending map that ended before it started, and repeat. A wave's
+  // slot was busy until that earlier map ended, so the stretch before it
+  // is map time, not scheduling; only the hand-offs between waves remain
+  // gaps. Chronological order after the reverse.
+  std::vector<const SpanNode*> map_chain;
+  for (const SpanNode* node = nullptr;;) {
+    const SpanNode* prev = nullptr;
+    for (const SpanNode* m : maps) {
+      if (node != nullptr && (m->end() > node->event->ts_us ||
+                              m->event->ts_us >= node->event->ts_us)) {
+        continue;
+      }
+      if (prev == nullptr || m->end() > prev->end()) prev = m;
+    }
+    if (prev == nullptr) break;
+    map_chain.push_back(prev);
+    node = prev;
+  }
+  std::reverse(map_chain.begin(), map_chain.end());
+
+  // JobTracker instants that explain a gap: when it learned of an attempt's
+  // end (TASK_REPORTED) and when it handed out an attempt (TASK_ASSIGNED),
+  // keyed by the attempt suffix shared with MAP/REDUCE span names
+  // ("m3 a0"), plus the job's SUBMIT.
+  std::unordered_map<std::string, int64_t> reported, assigned;
+  std::optional<int64_t> submitted;
+  for (const auto& e : events) {
+    if (e.trace_id != trace_id || e.span) continue;
+    const std::string_view name = e.name;
+    const std::string key(name.substr(name.find(' ') + 1));
+    if (startsWith(name, "TASK_REPORTED ")) reported.emplace(key, e.ts_us);
+    if (startsWith(name, "TASK_ASSIGNED ")) assigned.emplace(key, e.ts_us);
+    if (startsWith(name, "SUBMIT ")) submitted = e.ts_us;
+  }
+  const auto instantFor = [](const std::unordered_map<std::string, int64_t>&
+                                 times,
+                             const SpanNode* node) -> std::optional<int64_t> {
+    const std::string_view name = node->event->name;
+    const auto it = times.find(std::string(name.substr(name.find(' ') + 1)));
+    if (it == times.end()) return std::nullopt;
+    return it->second;
+  };
 
   // Attributes a critical-path span's subtree, restricted to the clipped
   // window [win_start, win_end): classified descendants get their own
@@ -278,25 +343,64 @@ CriticalPathReport computeCriticalPath(const std::vector<TraceEvent>& events,
   const auto addStep = [&](const SpanNode& node) {
     report.steps.push_back({node.event->name, node.event->component,
                             node.event->ts_us - root->event->ts_us,
-                            node.event->dur_us});
+                            node.event->dur_us, ""});
   };
-  const auto addGap = [&](int64_t start, int64_t end) {
+  // A gap [start, end) between the path's previous attempt `before` and
+  // its next one `after` (either may be absent) is scheduling time, cut
+  // into one step per cause at the JobTracker instants inside it:
+  //   client-wait  the job is not yet queued (splits computed at submit);
+  //   report-wait  `before` ended, the JobTracker has not heard yet;
+  //   assign-wait  the JobTracker knows, `after` is not yet handed out;
+  //   launch       `after` rides the heartbeat reply to a task slot.
+  // A missing instant leaves the stretch with the preceding cause.
+  const auto addGap = [&](int64_t start, int64_t end, const SpanNode* before,
+                          const SpanNode* after) {
     if (end <= start) return;
-    report.steps.push_back(
-        {"(scheduling gap)", "", start - root->event->ts_us, end - start});
-    phase_micros["scheduling"] += end - start;
+    std::vector<std::pair<std::optional<int64_t>, const char*>> cuts;
+    if (before == nullptr) {
+      cuts.emplace_back(start, "client-wait");
+      cuts.emplace_back(submitted, "assign-wait");
+    } else {
+      cuts.emplace_back(start, "report-wait");
+      // With nothing after it, the job ends once the report lands.
+      if (after != nullptr) {
+        cuts.emplace_back(instantFor(reported, before), "assign-wait");
+      }
+    }
+    if (after != nullptr) {
+      cuts.emplace_back(instantFor(assigned, after), "launch");
+    }
+    // Boundaries clamped into the gap and kept in order, so the stretches
+    // partition it even when instants arrive out of order.
+    std::vector<std::pair<int64_t, const char*>> marks;
+    for (const auto& [at, cause] : cuts) {
+      if (!at) continue;
+      const int64_t lo = marks.empty() ? start : marks.back().first;
+      marks.emplace_back(std::clamp(*at, lo, end), cause);
+    }
+    for (size_t i = 0; i < marks.size(); ++i) {
+      const int64_t from = marks[i].first;
+      const int64_t to = i + 1 < marks.size() ? marks[i + 1].first : end;
+      if (to <= from) continue;
+      report.steps.push_back({"(scheduling gap)", "",
+                              from - root->event->ts_us, to - from,
+                              marks[i].second});
+      phase_micros["scheduling"] += to - from;
+    }
   };
 
   addStep(*root);
   int64_t cursor = root->event->ts_us;
-  if (last_map != nullptr) {
-    addGap(cursor, last_map->event->ts_us);
-    addStep(*last_map);
-    attribute(*last_map, "map", last_map->event->ts_us, last_map->end());
-    cursor = std::max(cursor, last_map->end());
+  const SpanNode* previous = nullptr;
+  for (const SpanNode* map : map_chain) {
+    addGap(cursor, map->event->ts_us, previous, map);
+    addStep(*map);
+    attribute(*map, "map", map->event->ts_us, map->end());
+    cursor = std::max(cursor, map->end());
+    previous = map;
   }
   if (last_reduce != nullptr) {
-    addGap(cursor, last_reduce->event->ts_us);
+    addGap(cursor, last_reduce->event->ts_us, previous, last_reduce);
     addStep(*last_reduce);
     // With slowstart the reduce launches mid-map-phase; only its stretch
     // past the map gate (== `cursor`) is its own wall-clock contribution.
@@ -304,8 +408,9 @@ CriticalPathReport computeCriticalPath(const std::vector<TraceEvent>& events,
               std::max(cursor, last_reduce->event->ts_us),
               last_reduce->end());
     cursor = std::max(cursor, last_reduce->end());
+    previous = last_reduce;
   }
-  addGap(cursor, root->end());
+  addGap(cursor, root->end(), previous, nullptr);
 
   for (const auto& [phase, micros] : phase_micros) {
     report.phases.push_back({phase, micros});

@@ -75,20 +75,23 @@ void DataNode::start() {
                              conf_.get("dfs.datanode.rack", "/default-rack"));
   blockReportNow();
 
+  const auto beat = [this] {
+    try {
+      heartbeatNow();
+    } catch (const NetworkError&) {
+      // NameNode unreachable; keep beating until it returns.
+    } catch (const std::exception& e) {
+      logWarn(kLog) << host_ << " heartbeat error: " << e.what();
+    }
+  };
+  // Like Hadoop's DataNode, beat once right after registering rather than
+  // an interval later.
+  beat();
   const auto interval = std::chrono::milliseconds(
       conf_.getInt("dfs.heartbeat.interval.ms", 100));
-  heartbeat_thread_ = std::jthread([this, interval](std::stop_token token) {
-    while (!token.stop_requested()) {
-      interruptibleSleep(token, interval);
-      if (token.stop_requested()) return;
-      try {
-        heartbeatNow();
-      } catch (const NetworkError&) {
-        // NameNode unreachable; keep beating until it returns.
-      } catch (const std::exception& e) {
-        logWarn(kLog) << host_ << " heartbeat error: " << e.what();
-      }
-    }
+  heartbeat_thread_ = std::jthread([beat, interval](std::stop_token token) {
+    Wakeup pace;
+    while (pace.wait(token, interval)) beat();
   });
   logInfo(kLog) << host_ << " started, "
                 << store_->listBlocks().size() << " replicas";

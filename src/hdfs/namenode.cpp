@@ -141,11 +141,8 @@ void NameNode::start() {
   const auto interval = std::chrono::milliseconds(
       conf_.getInt("dfs.namenode.monitor.interval.ms", 50));
   monitor_ = std::jthread([this, interval](std::stop_token token) {
-    while (!token.stop_requested()) {
-      interruptibleSleep(token, interval);
-      if (token.stop_requested()) return;
-      runMonitorOnce();
-    }
+    Wakeup pace;
+    while (pace.wait(token, interval)) runMonitorOnce();
   });
   logInfo(kLog) << "started on " << host_ << ":" << kNameNodePort;
 }

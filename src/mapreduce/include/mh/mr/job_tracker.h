@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,18 @@
 /// work based on block location information from NameNode"), retries failed
 /// attempts, re-executes map tasks whose tracker died (their outputs died
 /// with it), and aggregates task counters into the job report.
+///
+/// Push points: the JobTracker sends a `wake` RPC (TaskTracker port) to the
+/// trackers that can act on news, after releasing its lock:
+///   - a job is submitted: every live tracker;
+///   - a report makes the job's reduces launchable (slowstart crossed):
+///     every live tracker;
+///   - a map-completion event is appended (success or invalidation):
+///     trackers running a reduce of that job.
+/// The tracker whose heartbeat produced the news is not woken; the reply
+/// carries it. A lost wake is harmless: tracker heartbeats stay periodic as
+/// the liveness signal and the backstop, and the next one delivers the same
+/// state.
 ///
 /// Config keys (defaults):
 ///   mapred.max.attempts               4
@@ -184,6 +197,11 @@ class JobTracker {
   /// the new output generation).
   void emitMapEventLocked(JobInProgress& job, uint32_t map_index,
                           bool invalidated);
+  /// Queues a wake for every live tracker (see pending_wakes_).
+  void wakeLiveTrackersLocked();
+  /// Sends a `wake` RPC to each host. Called with lock_ NOT held; failures
+  /// are ignored, since the next periodic beat delivers the same state.
+  void sendWakes(const std::set<std::string>& hosts);
   void assignTasksLocked(const std::string& tracker_host,
                          uint32_t free_map_slots, uint32_t free_reduce_slots,
                          std::vector<TaskAssignment>& out);
@@ -210,6 +228,11 @@ class JobTracker {
   std::condition_variable job_done_;
   std::map<JobId, JobInProgress> jobs_;
   std::map<std::string, TrackerInfo> trackers_;
+  /// Trackers owed a `wake`, queued by *Locked() helpers. Every entry
+  /// point that can queue one (submit, trackerHeartbeat, runMonitorOnce)
+  /// takes the set before releasing lock_ and sends after, so it is empty
+  /// whenever lock_ is free and no RPC is ever sent under the lock.
+  std::set<std::string> pending_wakes_;
   JobId next_job_id_ = 1;
   bool started_ = false;
 

@@ -11,7 +11,9 @@
 
 /// \file mr_wire.h
 /// Control-plane messages between TaskTrackers and the JobTracker, plus
-/// their Serde specializations.
+/// their Serde specializations. The one JobTracker-to-tracker message,
+/// `wake` on the TaskTracker port, has an empty body: it only asks the
+/// tracker to heartbeat now.
 ///
 /// Note on "jar distribution": mapper/reducer factories are C++ closures and
 /// cannot cross the wire, so a shared in-process JobRegistry stands in for
@@ -24,7 +26,8 @@ namespace mh::mr {
 /// Counter rows on the wire.
 using CounterRows = std::vector<std::tuple<std::string, std::string, int64_t>>;
 
-/// A finished (or failed) task attempt, reported on the next heartbeat.
+/// A finished (or failed) task attempt, reported on the tracker's next
+/// heartbeat: the out-of-band one a success requests, or the periodic one.
 struct TaskStatusReport {
   JobId job = 0;
   uint32_t task_index = 0;

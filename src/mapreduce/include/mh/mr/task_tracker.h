@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "mh/common/config.h"
+#include "mh/common/stopwatch.h"
 #include "mh/common/threadpool.h"
 #include "mh/mr/job_registry.h"
 #include "mh/mr/map_output_store.h"
@@ -29,10 +30,24 @@
 /// tracker down (`policy=crash-tracker`) — run-time errors "created memory
 /// leaks on the Java heap and consequently crashed the task tracker".
 ///
+/// Push-driven progress: the periodic heartbeat is the liveness signal and
+/// the backstop for a lost push. Progress travels on out-of-band beats,
+/// requested at two points:
+///   - an attempt succeeds: its slot is freed, its report queued, and a
+///     beat requested, so the beat carrying the report also offers the
+///     slot (a failed attempt's report waits for the periodic beat, which
+///     paces retries);
+///   - the JobTracker sends a `wake` RPC (new job, reduces launchable,
+///     map-completion events for a reduce running here).
+/// Requests that arrive during a beat coalesce into one more beat. A lost
+/// wake or beat costs at most one interval: the next periodic beat carries
+/// the same state.
+///
 /// Config keys (defaults):
 ///   mapred.tasktracker.map.tasks.maximum     2
 ///   mapred.tasktracker.reduce.tasks.maximum  1
-///   mapred.tasktracker.heartbeat.ms          50
+///   mapred.tasktracker.heartbeat.ms          50   (liveness + backstop; see
+///                                            push-driven progress above)
 ///   mapred.tasktracker.memory.bytes          (unlimited)
 ///   mapred.tasktracker.oom.policy            fail-task | crash-tracker
 ///   mapred.reduce.parallel.copies            5
@@ -132,9 +147,11 @@ class TaskTracker {
   void installRpc();
   void heartbeatLoop(std::stop_token token);
   void heartbeatOnce();
+  /// Runs the attempt on a slot thread; when it ends, frees the slot and
+  /// queues its report, requesting an out-of-band beat on success.
   void runAssignment(const TaskAssignment& assignment);
-  void runMapAssignment(const TaskAssignment& assignment);
-  void runReduceAssignment(const TaskAssignment& assignment);
+  TaskStatusReport runMapAssignment(const TaskAssignment& assignment);
+  TaskStatusReport runReduceAssignment(const TaskAssignment& assignment);
   /// The pipelined (slowstart) shuffle: fetches map outputs incrementally as
   /// completion events arrive, folding fetched runs into bounded segments,
   /// and returns the assembled input runs once membership is complete.
@@ -211,6 +228,8 @@ class TaskTracker {
   std::mutex reports_mutex_;
   std::vector<TaskStatusReport> pending_reports_;
 
+  /// Paces the heartbeat thread; notify() requests an out-of-band beat.
+  Wakeup beat_;
   std::jthread heartbeat_thread_;
 };
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "mh/common/error.h"
 #include "mh/common/log.h"
@@ -18,6 +19,13 @@ constexpr const char* kLog = "jobtracker";
 /// Fetch failures are reported with this prefix so the JobTracker can
 /// re-execute the source map instead of burning reduce attempts.
 constexpr const char* kFetchFailurePrefix = "fetch-failure ";
+
+/// "m3 a0" / "r1 a2": the attempt suffix shared with the tracker's MAP and
+/// REDUCE span names, so the critical-path analysis can join them.
+std::string attemptTag(bool is_map, uint32_t task_index, uint32_t attempt) {
+  return (is_map ? "m" : "r") + std::to_string(task_index) + " a" +
+         std::to_string(attempt);
+}
 }  // namespace
 
 JobTracker::JobTracker(Config conf, std::shared_ptr<net::Network> network,
@@ -83,11 +91,8 @@ void JobTracker::start() {
   const auto interval = std::chrono::milliseconds(
       conf_.getInt("mapred.jobtracker.monitor.interval.ms", 50));
   monitor_ = std::jthread([this, interval](std::stop_token token) {
-    while (!token.stop_requested()) {
-      interruptibleSleep(token, interval);
-      if (token.stop_requested()) return;
-      runMonitorOnce();
-    }
+    Wakeup pace;
+    while (pace.wait(token, interval)) runMonitorOnce();
   });
   logInfo(kLog) << "started on " << host_ << ":" << kJobTrackerPort;
 }
@@ -135,7 +140,7 @@ JobId JobTracker::submit(JobSpec spec) {
 
   auto shared_spec = std::make_shared<const JobSpec>(std::move(spec));
 
-  std::lock_guard<std::mutex> guard(lock_);
+  std::unique_lock<std::mutex> guard(lock_);
   const JobId id = next_job_id_++;
   registry_->put(id, shared_spec);
 
@@ -160,6 +165,11 @@ JobId JobTracker::submit(JobSpec spec) {
                     {"maps", std::to_string(job.maps.size())},
                     {"reduces", std::to_string(job.reduces.size())}});
   jobs_.emplace(id, std::move(job));
+  // Every live tracker can take one of the new maps.
+  wakeLiveTrackersLocked();
+  const std::set<std::string> wakes = std::exchange(pending_wakes_, {});
+  guard.unlock();
+  sendWakes(wakes);
   return id;
 }
 
@@ -339,6 +349,12 @@ void JobTracker::openAttemptLocked(JobInProgress& job, bool is_map,
   record.start_ms = steadyMillis() - job.submit_ms;
   record.speculative = speculative;
   job.attempts.push_back(std::move(record));
+  if (tracer_->enabled()) {
+    tracer_->instant(TraceContext{job.trace_id, job.root_span_id, 0},
+                     "jobtracker",
+                     "TASK_ASSIGNED " + attemptTag(is_map, task_index, attempt),
+                     {{"job", std::to_string(job.id)}, {"tracker", tracker}});
+  }
 }
 
 void JobTracker::closeAttemptLocked(JobInProgress& job, bool is_map,
@@ -400,6 +416,29 @@ void JobTracker::emitMapEventLocked(JobInProgress& job, uint32_t map_index,
     event.map_generation = task.output_generation;
   }
   job.map_events.push_back(std::move(event));
+  // Reduces of this job consume the feed; their trackers should fetch the
+  // event now, not at their next periodic beat.
+  for (const TaskInProgress& reduce : job.reduces) {
+    if (reduce.state == TaskState::kRunning) {
+      pending_wakes_.insert(reduce.tracker);
+    }
+  }
+}
+
+void JobTracker::wakeLiveTrackersLocked() {
+  for (const auto& [host, info] : trackers_) {
+    if (info.alive) pending_wakes_.insert(host);
+  }
+}
+
+void JobTracker::sendWakes(const std::set<std::string>& hosts) {
+  for (const std::string& host : hosts) {
+    try {
+      network_->callBuf(host_, host, kTaskTrackerPort, "wake", BufferView());
+    } catch (const std::exception&) {
+      // Ignored: the tracker's next periodic beat delivers the same state.
+    }
+  }
 }
 
 void JobTracker::processReportLocked(const std::string& tracker_host,
@@ -425,8 +464,20 @@ void JobTracker::processReportLocked(const std::string& tracker_host,
 
   closeAttemptLocked(job, report.is_map, report.task_index, report.attempt,
                      report.succeeded, report.error);
+  if (tracer_->enabled()) {
+    tracer_->instant(TraceContext{job.trace_id, job.root_span_id, 0},
+                     "jobtracker",
+                     "TASK_REPORTED " + attemptTag(report.is_map,
+                                                   report.task_index,
+                                                   report.attempt),
+                     {{"job", std::to_string(report.job)},
+                      {"tracker", tracker_host},
+                      {"succeeded", report.succeeded ? "true" : "false"}});
+  }
 
   if (report.succeeded) {
+    const bool reduces_were_launchable =
+        report.is_map && reduceLaunchableLocked(job);
     // First success wins; the map output lives on the REPORTING tracker.
     task.state = TaskState::kSucceeded;
     task.tracker = tracker_host;
@@ -450,6 +501,10 @@ void JobTracker::processReportLocked(const std::string& tracker_host,
         locality_counter = counters::kRackLocalMaps;
       }
       job.counters.increment(counters::kJobGroup, locality_counter);
+      // Slowstart just crossed: any live tracker may take a reduce.
+      if (!reduces_were_launchable && reduceLaunchableLocked(job)) {
+        wakeLiveTrackersLocked();
+      }
     } else {
       job.reduce_millis += report.millis;
     }
@@ -693,7 +748,7 @@ TrackerHeartbeatReply JobTracker::trackerHeartbeat(
     const std::string& host, uint32_t free_map_slots,
     uint32_t free_reduce_slots, const std::vector<TaskStatusReport>& reports,
     const std::vector<ShuffleEventCursor>& cursors) {
-  std::lock_guard<std::mutex> guard(lock_);
+  std::unique_lock<std::mutex> guard(lock_);
   TrackerHeartbeatReply reply;
   const auto it = trackers_.find(host);
   if (it == trackers_.end()) {
@@ -724,6 +779,11 @@ TrackerHeartbeatReply JobTracker::trackerHeartbeat(
   for (const auto& [id, job] : jobs_) {
     if (job.state != JobState::kRunning) reply.purge_jobs.push_back(id);
   }
+  // This reply already carries the caller's news; wake only the others.
+  pending_wakes_.erase(host);
+  const std::set<std::string> wakes = std::exchange(pending_wakes_, {});
+  guard.unlock();
+  sendWakes(wakes);
   return reply;
 }
 
@@ -736,9 +796,12 @@ std::string JobTracker::mapLocation(JobId job, uint32_t map_index) const {
 }
 
 void JobTracker::runMonitorOnce() {
-  std::lock_guard<std::mutex> guard(lock_);
+  std::unique_lock<std::mutex> guard(lock_);
   expireTrackersLocked();
   timeoutTasksLocked();
+  const std::set<std::string> wakes = std::exchange(pending_wakes_, {});
+  guard.unlock();
+  sendWakes(wakes);
 }
 
 void JobTracker::expireTrackersLocked() {

@@ -398,11 +398,12 @@ void TaskTracker::crash() {
 }
 
 void TaskTracker::heartbeatLoop(std::stop_token token) {
+  // The interval paces liveness and backs up a lost push; progress rides
+  // the out-of-band beats that beat_.notify() requests.
   const auto interval = std::chrono::milliseconds(
       conf_.getInt("mapred.tasktracker.heartbeat.ms", 50));
-  while (!token.stop_requested()) {
-    interruptibleSleep(token, interval);
-    if (token.stop_requested() || !running_.load()) return;
+  while (beat_.wait(token, interval)) {
+    if (!running_.load()) return;
     try {
       heartbeatOnce();
     } catch (const NetworkError&) {
@@ -540,7 +541,7 @@ void TaskTracker::chargeHeap(int64_t delta) {
     crashed_.store(true);
     network_->setHostUp(host_, false);
     running_.store(false);
-    heartbeat_thread_.request_stop();  // loop exits on its next wake-up
+    heartbeat_thread_.request_stop();  // wakes and ends the beat loop
     outputs_.clear();
   }
   throw OutOfMemoryError("task heap " + std::to_string(used) + " > budget " +
@@ -567,22 +568,28 @@ bool TaskTracker::tryChargeHeap(int64_t delta) {
 }
 
 void TaskTracker::runAssignment(const TaskAssignment& assignment) {
-  if (assignment.kind == AssignmentKind::kMap) {
-    ++busy_maps_;
-    map_pool_->submit([this, assignment] {
-      runMapAssignment(assignment);
-      --busy_maps_;
-    });
-  } else {
-    ++busy_reduces_;
-    reduce_pool_->submit([this, assignment] {
-      runReduceAssignment(assignment);
-      --busy_reduces_;
-    });
-  }
+  const bool is_map = assignment.kind == AssignmentKind::kMap;
+  std::atomic<uint32_t>& busy = is_map ? busy_maps_ : busy_reduces_;
+  ++busy;
+  (is_map ? map_pool_ : reduce_pool_)->submit([this, assignment, is_map,
+                                               &busy] {
+    TaskStatusReport report = is_map ? runMapAssignment(assignment)
+                                     : runReduceAssignment(assignment);
+    // Free the slot before queueing the report, then beat out of band: the
+    // beat that carries the report also offers the slot, so the
+    // JobTracker can launch the next task in the same beat. A failure
+    // waits for the periodic beat instead; beating at once would hand the
+    // retry straight back to a tracker that just failed it, and a fast
+    // failure (NameNode down) would burn every attempt in milliseconds.
+    const bool succeeded = report.succeeded;
+    --busy;
+    queueReport(std::move(report));
+    if (succeeded) beat_.notify();
+  });
 }
 
-void TaskTracker::runMapAssignment(const TaskAssignment& assignment) {
+TaskStatusReport TaskTracker::runMapAssignment(
+    const TaskAssignment& assignment) {
   TaskStatusReport report;
   report.job = assignment.job;
   report.task_index = assignment.task_index;
@@ -631,10 +638,11 @@ void TaskTracker::runMapAssignment(const TaskAssignment& assignment) {
     maps_failed_->add();
     span.arg("error", e.what());
   }
-  queueReport(std::move(report));
+  return report;
 }
 
-void TaskTracker::runReduceAssignment(const TaskAssignment& assignment) {
+TaskStatusReport TaskTracker::runReduceAssignment(
+    const TaskAssignment& assignment) {
   TaskStatusReport report;
   report.job = assignment.job;
   report.task_index = assignment.task_index;
@@ -712,7 +720,7 @@ void TaskTracker::runReduceAssignment(const TaskAssignment& assignment) {
     reduces_failed_->add();
     span.arg("error", e.what());
   }
-  queueReport(std::move(report));
+  return report;
 }
 
 std::vector<BufferView> TaskTracker::runPipelinedShuffle(
@@ -934,6 +942,12 @@ void TaskTracker::installRpc() {
   network_->bindBuf(host_, kTaskTrackerPort,
                     [this, shuffle_for](const net::BufRpcRequest& req)
                         -> BufferView {
+    if (req.method == "wake") {
+      // The JobTracker has news this tracker can act on: beat now rather
+      // than at the next interval. The body is ignored.
+      beat_.notify();
+      return {};
+    }
     if (req.method == "getMapOutput") {
       const auto [job, map_index, partition] =
           unpack<uint32_t, uint32_t, uint32_t>(req.body.view());

@@ -132,6 +132,107 @@ TEST(CriticalPathTest, AttributesEveryMicrosecondOfTheRoot) {
   EXPECT_EQ(sum, report.total_us);
 }
 
+/// Two map waves on two slots, with the JobTracker's control-plane
+/// instants. JOB [0, 100 ms]. Wave 1: m0 [5, 35] and m1 [6, 30]; wave 2:
+/// m2 [40, 70], launched on m0's slot; one reduce [75, 95] with shuffle
+/// [75, 85] and merge [85, 90] children.
+std::vector<TraceEvent> twoWaveJob(uint64_t trace_id) {
+  std::vector<TraceEvent> events;
+  const auto span = [&](uint64_t id, uint64_t parent, const char* name,
+                        int64_t from_ms, int64_t to_ms) {
+    events.push_back(makeSpan(trace_id, id, parent, "tasktracker.node01",
+                              name, from_ms * 1000, (to_ms - from_ms) * 1000));
+  };
+  const auto instant = [&](const char* name, int64_t at_ms) {
+    events.push_back(
+        makeInstant(trace_id, 2, "jobtracker", name, at_ms * 1000));
+  };
+  events.push_back(
+      makeSpan(trace_id, 2, 0, "jobtracker", "JOB job 1", 0, 100'000));
+  span(3, 2, "MAP m0 a0", 5, 35);
+  span(4, 2, "MAP m1 a0", 6, 30);
+  span(5, 2, "MAP m2 a0", 40, 70);
+  span(6, 2, "REDUCE r0 a0", 75, 95);
+  span(7, 6, "SHUFFLE_FETCH r0 a0", 75, 85);
+  span(8, 6, "MERGE r0", 85, 90);
+  instant("SUBMIT job 1", 1);
+  instant("TASK_ASSIGNED m0 a0", 3);
+  instant("TASK_ASSIGNED m1 a0", 4);
+  instant("TASK_REPORTED m1 a0", 33);
+  instant("TASK_REPORTED m0 a0", 37);
+  instant("TASK_ASSIGNED m2 a0", 38);
+  instant("TASK_REPORTED m2 a0", 72);
+  instant("TASK_ASSIGNED r0 a0", 73);
+  instant("TASK_REPORTED r0 a0", 98);
+  return events;
+}
+
+TEST(CriticalPathTest, EarlierMapWavesCountAsMapTime) {
+  const CriticalPathReport report = computeCriticalPath(twoWaveJob(1), 1);
+  ASSERT_TRUE(report.found);
+  // The walk back from the last map (m2) reaches m0, the latest map to end
+  // before m2 started; m1 ended earlier and is off the path.
+  std::vector<std::string> spans;
+  for (const auto& step : report.steps) {
+    if (step.cause.empty()) spans.push_back(step.name);
+  }
+  EXPECT_EQ(spans, (std::vector<std::string>{"JOB job 1", "MAP m0 a0",
+                                             "MAP m2 a0", "REDUCE r0 a0"}));
+  // Both waves are map time; only the hand-offs remain scheduling.
+  EXPECT_EQ(report.phaseMicros("map"), 60'000);
+  EXPECT_EQ(report.phaseMicros("shuffle"), 10'000);
+  EXPECT_EQ(report.phaseMicros("merge"), 5'000);
+  EXPECT_EQ(report.phaseMicros("reduce"), 5'000);
+  EXPECT_EQ(report.phaseMicros("scheduling"), 20'000);
+  int64_t sum = 0;
+  for (const auto& p : report.phases) sum += p.micros;
+  EXPECT_EQ(sum, report.total_us);
+}
+
+TEST(CriticalPathTest, GapStepsAreLabelledWithTheirCause) {
+  const CriticalPathReport report = computeCriticalPath(twoWaveJob(1), 1);
+  ASSERT_TRUE(report.found);
+  std::vector<std::pair<std::string, int64_t>> gaps;
+  for (const auto& step : report.steps) {
+    if (step.cause.empty()) continue;
+    EXPECT_EQ(step.name, "(scheduling gap)");
+    gaps.emplace_back(step.cause, step.dur_us);
+  }
+  const std::vector<std::pair<std::string, int64_t>> expected = {
+      // Before m0: splits at submit, then the first beat, then the launch.
+      {"client-wait", 1'000}, {"assign-wait", 2'000}, {"launch", 2'000},
+      // m0 -> m2: m0's report, m2's assignment, m2's launch.
+      {"report-wait", 2'000}, {"assign-wait", 1'000}, {"launch", 2'000},
+      // m2 -> r0.
+      {"report-wait", 2'000}, {"assign-wait", 1'000}, {"launch", 2'000},
+      // After r0: the job ends when its report lands.
+      {"report-wait", 5'000}};
+  EXPECT_EQ(gaps, expected);
+  EXPECT_EQ(report.gapMicros("client-wait") + report.gapMicros("report-wait") +
+                report.gapMicros("assign-wait") + report.gapMicros("launch"),
+            report.phaseMicros("scheduling"));
+  EXPECT_NE(report.renderAscii().find("(scheduling gap) assign-wait"),
+            std::string::npos);
+  EXPECT_NE(report.exportJson().find("\"cause\":\"launch\""),
+            std::string::npos);
+}
+
+TEST(CriticalPathTest, OutOfOrderInstantsStillPartitionTheGap) {
+  // m2 assigned before the JobTracker heard m0 finish (a different slot
+  // took it): the cuts stay ordered and the gap is not double-counted.
+  auto events = twoWaveJob(1);
+  for (auto& e : events) {
+    if (e.name == "TASK_ASSIGNED m2 a0") e.ts_us = 36'000;
+  }
+  const CriticalPathReport report = computeCriticalPath(events, 1);
+  EXPECT_EQ(report.phaseMicros("scheduling"), 20'000);
+  int64_t gap_sum = 0;
+  for (const auto& step : report.steps) {
+    if (!step.cause.empty()) gap_sum += step.dur_us;
+  }
+  EXPECT_EQ(gap_sum, 20'000);
+}
+
 TEST(CriticalPathTest, OverlappingChildrenAreNotDoubleSubtracted) {
   std::vector<TraceEvent> events;
   events.push_back(makeSpan(1, 2, 0, "jobtracker", "JOB job 1", 0, 50'000));

@@ -193,12 +193,21 @@ TEST_F(NameNodeRestartTest, PeriodicCheckpointFiresOnTime) {
   conf.setInt("dfs.namenode.checkpoint.period.ms", 100);
   MiniDfsCluster cluster({.num_datanodes = 2, .conf = conf});
   cluster.client().writeFile("/periodic", "tick");
+  // Wait on the NameNode's own signal: checkpoint.millis is recorded once a
+  // checkpoint has written its image and retired the old segments.
+  const LatencyHistogram& checkpoints =
+      cluster.network()->metrics().child("namenode").histogram(
+          "checkpoint.millis");
   bool checkpointed = false;
   for (int wait = 0; wait < 100 && !checkpointed; ++wait) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    checkpointed = !EditLog::load(name_dir_).image.empty();
+    checkpointed = checkpoints.count() > 0;
   }
-  EXPECT_TRUE(checkpointed);
+  ASSERT_TRUE(checkpointed);
+  // Stop the NameNode before reading its directory, so the next periodic
+  // checkpoint cannot retire a segment while EditLog::load opens it.
+  cluster.nameNode().stop();
+  EXPECT_FALSE(EditLog::load(name_dir_).image.empty());
 }
 
 TEST_F(NameNodeRestartTest, AdminRpcsRequireJournaling) {

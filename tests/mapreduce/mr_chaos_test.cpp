@@ -23,7 +23,8 @@
 /// runs a real job twice on a 4-node cluster: once fault-free for the
 /// reference bytes, once under a seeded FaultPlan (dropped heartbeats,
 /// failed shuffle fetches, erroring DataNode reads, lost heartbeat
-/// replies) plus a driver that kills/restarts nodes and partitions hosts.
+/// replies, dropped and refused JobTracker wake-ups) plus a driver that
+/// kills/restarts nodes and partitions hosts.
 /// The chaotic run must produce byte-identical output, identical record
 /// counters, and must actually have injected faults and failed attempts.
 
@@ -213,20 +214,31 @@ TEST_P(MrChaosTest, FaultedRunMatchesFaultFreeRunByteForByte) {
                  .probability = 0.2,
                  .delay_micros = 2000,
                  .max_fires = 30});
+  // Lost and refused JobTracker wake-ups: the push is an optimisation, so
+  // the news must still arrive on the tracker's periodic beat.
+  plan->addRule({.match = {.method = "wake"},
+                 .action = net::FaultAction::kDrop,
+                 .probability = 0.3,
+                 .max_fires = 20});
+  plan->addRule({.match = {.method = "wake"},
+                 .action = net::FaultAction::kError,
+                 .probability = 0.2,
+                 .max_fires = 10});
   cluster.network()->setFaultPlan(plan);
 
   const JobId id = cluster.jobTracker().submit(jobForSeed(seed));
 
   // Driver: kill/restart whole nodes and partition workers off the
   // masters, at most one disruption at a time so the cluster always keeps
-  // a quorum of replicas.
+  // a quorum of replicas. The tick is short because a push-driven job
+  // finishes in tens of milliseconds; a longer one would act once or never.
   Rng driver(seed ^ 0xC4A05EEDull);
   const auto hosts = cluster.trackerHosts();
   std::string downed;
   bool partitioned = false;
   for (int step = 0; step < 60; ++step) {
     if (cluster.jobTracker().status(id).state != JobState::kRunning) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
     const auto act = driver.uniform(10);
     if (partitioned) {
       // Partitions stay short: heal on the next tick.
@@ -380,7 +392,7 @@ TEST_P(TracedMrChaosTest, FullObservabilityIsStrictlyObservational) {
   std::string downed;
   for (int step = 0; step < 30; ++step) {
     if (cluster.jobTracker().status(id).state != JobState::kRunning) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
     const auto act = driver.uniform(10);
     if (act < 2 && downed.empty()) {
       downed = hosts[driver.uniform(hosts.size())];
@@ -480,21 +492,34 @@ TEST_P(NameNodeRestartMrChaosTest, JobFinishesByteIdenticalAcrossNnCrash) {
   cluster.client().writeFile("/in/corpus.txt", corpus);
   const JobId id = cluster.jobTracker().submit(jobForSeed(seed));
 
-  // Let the job get some maps in flight, then kill the master twice with
-  // a short outage each time.
+  // Kill the master twice with a short outage each time. The first kill
+  // comes right after submit, with the first map wave in flight: the job
+  // cannot finish without the NameNode, so that outage always lands
+  // mid-job however fast the job runs. The second comes once the job has
+  // made fresh map progress after the restart, if it is still running.
+  // The poll starts at the restart and does not sleep: once the NameNode
+  // is back, the rest of the job takes only milliseconds.
   Rng driver(seed ^ 0x9A3E10D5ull);
   int outages = 0;
   for (int outage = 0; outage < 2; ++outage) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(40 + driver.uniform(80)));
-    if (cluster.jobTracker().status(id).state != JobState::kRunning) break;
+    JobStatus status = cluster.jobTracker().status(id);
+    if (outage > 0) {
+      const uint32_t target = status.maps_completed + 1 +
+                              static_cast<uint32_t>(driver.uniform(3));
+      while (status.state == JobState::kRunning &&
+             status.maps_completed < target) {
+        std::this_thread::yield();
+        status = cluster.jobTracker().status(id);
+      }
+    }
+    if (status.state != JobState::kRunning) break;
     cluster.dfs().crashNameNode();
     ++outages;
     std::this_thread::sleep_for(
         std::chrono::milliseconds(60 + driver.uniform(120)));
     cluster.dfs().restartNameNode();
-    ASSERT_TRUE(cluster.dfs().waitOutOfSafeMode(20'000));
   }
+  ASSERT_TRUE(cluster.dfs().waitOutOfSafeMode(20'000));
   EXPECT_GE(outages, 1) << "job finished before the first outage; the "
                            "corpus is too small to test anything";
 

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <map>
 #include <thread>
 
 #include "mh/common/rng.h"
@@ -427,6 +429,109 @@ TEST(MiniMrClusterTest, ConcurrentJobsAllSucceed) {
               referenceCounts(makeCorpus(100, 40 + static_cast<uint64_t>(j))))
         << j;
   }
+}
+
+/// Raw bytes of each part file under `dir`, keyed by base name.
+std::map<std::string, Bytes> readParts(FileSystemView& fs,
+                                       const std::string& dir) {
+  std::map<std::string, Bytes> parts;
+  for (const auto& file : fs.listFiles(dir)) {
+    const std::string base = file.substr(file.find_last_of('/') + 1);
+    if (base.rfind("part-", 0) != 0) continue;
+    parts[base] = fs.readRange(file, 0, fs.fileLength(file));
+  }
+  return parts;
+}
+
+TEST(MiniMrClusterTest, JobProgressIsPushedNotPolled) {
+  // Periodic heartbeats every 10 s: a job that waited for even one of
+  // them could not finish in time. Progress must ride the out-of-band
+  // beats (attempt done) and the JobTracker's wake RPCs (submit, reduces
+  // launchable, map-completion events).
+  constexpr int64_t kBeatMs = 10'000;
+  Config conf = fastConf();
+  conf.setInt("mapred.tasktracker.heartbeat.ms", kBeatMs);
+  conf.setInt("mapred.tasktracker.expiry.ms", 60'000);
+  // One map slot per tracker: 16 maps run in waves, and each tracker's
+  // attempts form one sequence whose hand-offs the history exposes.
+  conf.setInt("mapred.tasktracker.map.tasks.maximum", 1);
+  MiniMrCluster cluster({.num_nodes = 3, .conf = conf});
+
+  // 16 blocks of 512 bytes -> 16 maps.
+  Rng rng(13);
+  std::string corpus;
+  while (corpus.size() <= 15 * 512) {
+    static const char* kWords[] = {"push", "beat", "wake", "slot", "map"};
+    corpus += std::string(kWords[rng.uniform(5)]) + " " +
+              kWords[rng.uniform(5)] + "\n";
+  }
+  cluster.client().writeFile("/in/corpus.txt", corpus);
+  const JobId id =
+      cluster.jobTracker().submit(wordCountSpec({"/in"}, "/out", true, 2));
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(kBeatMs / 2);
+  while (cluster.jobTracker().status(id).state == JobState::kRunning &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_NE(cluster.jobTracker().status(id).state, JobState::kRunning)
+      << "job waited for a periodic heartbeat:\n"
+      << cluster.jobTracker().renderJobDetails(id);
+  const JobResult result = cluster.jobTracker().wait(id);
+  ASSERT_TRUE(result.succeeded()) << result.error;
+  EXPECT_EQ(result.counters.value(counters::kJobGroup,
+                                  counters::kLaunchedMaps),
+            16);
+
+  // Byte-identical to the serial runner.
+  const auto tmp = std::filesystem::temp_directory_path() /
+                   ("mh_push_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(tmp);
+  LocalFs local(512);
+  local.writeFile((tmp / "in.txt").string(), corpus);
+  LocalJobRunner runner(local);
+  ASSERT_TRUE(runner
+                  .run(wordCountSpec({(tmp / "in.txt").string()},
+                                     (tmp / "out").string(), true, 2))
+                  .succeeded());
+  HdfsFs fs(cluster.client());
+  const auto parts = readParts(fs, "/out");
+  EXPECT_EQ(parts.size(), 2u);
+  EXPECT_EQ(parts, readParts(local, (tmp / "out").string()));
+  std::filesystem::remove_all(tmp);
+
+  // Slot-release ordering: a tracker frees its slot before queueing the
+  // report, so the beat that reports a map also takes the next one. While
+  // any map still waited for its first launch, each tracker's next map
+  // started as its previous one was reported (history times are in ms;
+  // the slack absorbs a clock tick and a descheduled thread, and is far
+  // below the 10 s a periodic beat would take).
+  constexpr int64_t kSameBeatSlackMs = 100;
+  const auto& attempts = result.history.attempts;
+  std::map<std::string, std::vector<TaskAttemptRecord>> by_tracker;
+  for (const auto& a : attempts) {
+    if (a.is_map) by_tracker[a.tracker].push_back(a);
+  }
+  int checked = 0;
+  for (auto& [tracker, maps] : by_tracker) {
+    std::sort(maps.begin(), maps.end(),
+              [](const auto& a, const auto& b) { return a.start_ms < b.start_ms; });
+    for (size_t i = 0; i + 1 < maps.size(); ++i) {
+      const int64_t reported = maps[i].finish_ms;
+      const bool pending = std::any_of(
+          attempts.begin(), attempts.end(), [&](const TaskAttemptRecord& a) {
+            return a.is_map && a.start_ms > reported;
+          });
+      if (!pending) continue;
+      ++checked;
+      EXPECT_LE(maps[i + 1].start_ms - reported, kSameBeatSlackMs)
+          << tracker << ": m" << maps[i].task_index << " reported at "
+          << reported << " ms, m" << maps[i + 1].task_index
+          << " launched at " << maps[i + 1].start_ms << " ms\n"
+          << result.historyReport();
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 TEST(MiniMrClusterTest, SubmitWithNoInputThrows) {
