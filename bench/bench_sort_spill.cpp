@@ -1,10 +1,13 @@
 // Tentpole benchmark — map-side collect+sort. Replays the seed engine's
 // per-partition vector<KeyValue> collect (one Bytes pair allocated per
 // record, stable_sort over 64-byte elements, encodeKvRun) against the
-// arena-backed MapOutputBuffer (contiguous arena, 16-byte index sort,
-// spill runs) on 1M small records, with and without a combiner. All paths
-// must produce byte-identical runs; the arena path must be faster. Writes
-// a machine-readable summary to BENCH_sort_spill.json (or argv[1]).
+// arena-backed MapOutputBuffer (contiguous arena, packed 16-byte sort keys,
+// spill runs) on 1M records, with and without a combiner, for three key
+// sets: short WordCount-like keys, 10-byte TeraGen-like random keys, and
+// 12-byte keys that all share one 8-byte prefix (the buffer's long-key
+// run fix-up). All paths must produce byte-identical runs; on the short
+// keys the arena path must be faster. Writes a machine-readable summary to
+// BENCH_sort_spill.json (or argv[1]).
 
 #include <algorithm>
 #include <cstdio>
@@ -55,14 +58,32 @@ JobSpec makeSpec(bool with_combiner, int sort_mb) {
   return spec;
 }
 
-std::vector<KeyValue> makeRecords() {
+/// The key sets: `short` keys fit the 8-byte packed prefix; `teragen10`
+/// keys are Sort's 10 random alphanumerics; `prefix12` keys share their
+/// first 8 bytes, so every key's order is decided past the prefix.
+constexpr const char* kKeySets[] = {"short", "teragen10", "prefix12"};
+
+std::vector<KeyValue> makeRecords(std::string_view key_set) {
+  static const char kAlnum[] =
+      "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz";
   Rng rng(20260807);
   std::vector<KeyValue> records;
   records.reserve(kRecords);
   Bytes one;
   ByteWriter(one).writeVarI64(1);
   for (size_t i = 0; i < kRecords; ++i) {
-    records.push_back({"w" + std::to_string(rng.uniform(kVocabulary)), one});
+    Bytes key;
+    if (key_set == "short") {
+      key = "w" + std::to_string(rng.uniform(kVocabulary));
+    } else if (key_set == "teragen10") {
+      for (int c = 0; c < 10; ++c) key.push_back(kAlnum[rng.uniform(62)]);
+    } else {
+      char suffix[8];
+      std::snprintf(suffix, sizeof(suffix), "%04llu",
+                    static_cast<unsigned long long>(rng.uniform(10'000)));
+      key = std::string("prefix00") + suffix;
+    }
+    records.push_back({std::move(key), one});
   }
   return records;
 }
@@ -133,7 +154,8 @@ std::vector<Bytes> seedCollect(const std::vector<KeyValue>& input,
 }
 
 std::vector<Bytes> arenaCollect(const std::vector<KeyValue>& input,
-                                const JobSpec& spec, int64_t& spills) {
+                                const JobSpec& spec, int64_t& spills,
+                                int64_t& sort_us) {
   const auto partitioner = spec.partitioner();
   Counters scratch;
   MapOutputBuffer buffer(spec, scratch, {}, nullptr, nullptr, {});
@@ -143,14 +165,17 @@ std::vector<Bytes> arenaCollect(const std::vector<KeyValue>& input,
   }
   auto runs = buffer.finish();
   spills = buffer.spillCount();
+  sort_us = buffer.sortMicros();
   return runs;
 }
 
 struct Row {
+  std::string keys;
   std::string path;
   bool combiner;
   int64_t micros;
   int64_t spills;
+  int64_t sort_micros;  ///< inside the buffer's sorts (0 for seed_vector)
 };
 
 template <typename Fn>
@@ -168,59 +193,70 @@ int64_t bestOfReps(Fn&& run) {
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_sort_spill.json";
-  const std::vector<KeyValue> input = makeRecords();
 
   std::printf("=== map-side collect+sort: seed vector path vs arena "
               "MapOutputBuffer (%zu records, %d partitions) ===\n\n",
               kRecords, kPartitions);
-  std::printf("%-14s %-9s %12s %8s\n", "path", "combiner", "micros",
-              "spills");
+  std::printf("%-10s %-14s %-9s %12s %8s %12s\n", "keys", "path",
+              "combiner", "micros", "spills", "sort_micros");
 
   std::vector<Row> rows;
   bool identical = true;
   double speedups[2] = {0, 0};
-  for (const bool with_combiner : {false, true}) {
-    // io.sort.mb=64 holds the full working set: one spill, so both paths
-    // sort exactly once and the comparison isolates collect+sort cost.
-    const JobSpec seed_spec = makeSpec(with_combiner, 64);
-    std::vector<Bytes> seed_runs;
-    const int64_t seed_us =
-        bestOfReps([&] { seed_runs = seedCollect(input, seed_spec); });
-    rows.push_back({"seed_vector", with_combiner, seed_us, 1});
-    std::printf("%-14s %-9s %12lld %8d\n", "seed_vector",
-                with_combiner ? "yes" : "no",
-                static_cast<long long>(seed_us), 1);
+  const auto add_row = [&](Row row) {
+    std::printf("%-10s %-14s %-9s %12lld %8lld %12lld\n", row.keys.c_str(),
+                row.path.c_str(), row.combiner ? "yes" : "no",
+                static_cast<long long>(row.micros),
+                static_cast<long long>(row.spills),
+                static_cast<long long>(row.sort_micros));
+    rows.push_back(std::move(row));
+  };
+  // Runs the arena path kReps times; the row keeps the fastest run and,
+  // separately, the fastest sort time.
+  const auto arena_row = [&](const std::vector<KeyValue>& input,
+                             const JobSpec& spec, const std::string& key_set,
+                             const char* path, std::vector<Bytes>& runs) {
+    Row row{key_set, path, spec.combiner != nullptr, 0, 0, INT64_MAX};
+    row.micros = bestOfReps([&] {
+      int64_t sort_us = 0;
+      runs = arenaCollect(input, spec, row.spills, sort_us);
+      row.sort_micros = std::min(row.sort_micros, sort_us);
+    });
+    add_row(row);
+    return row.micros;
+  };
+  for (const std::string key_set : kKeySets) {
+    const std::vector<KeyValue> input = makeRecords(key_set);
+    for (const bool with_combiner : {false, true}) {
+      // io.sort.mb=64 holds the full working set: one spill, so both paths
+      // sort exactly once and the comparison isolates collect+sort cost.
+      const JobSpec seed_spec = makeSpec(with_combiner, 64);
+      std::vector<Bytes> seed_runs;
+      const int64_t seed_us =
+          bestOfReps([&] { seed_runs = seedCollect(input, seed_spec); });
+      add_row({key_set, "seed_vector", with_combiner, seed_us, 1, 0});
 
-    std::vector<Bytes> arena_runs;
-    int64_t spills = 0;
-    const int64_t arena_us = bestOfReps(
-        [&] { arena_runs = arenaCollect(input, seed_spec, spills); });
-    rows.push_back({"arena_buffer", with_combiner, arena_us, spills});
-    std::printf("%-14s %-9s %12lld %8lld\n", "arena_buffer",
-                with_combiner ? "yes" : "no",
-                static_cast<long long>(arena_us),
-                static_cast<long long>(spills));
+      std::vector<Bytes> arena_runs;
+      const int64_t arena_us =
+          arena_row(input, seed_spec, key_set, "arena_buffer", arena_runs);
 
-    identical = identical && seed_runs == arena_runs;
-    speedups[with_combiner ? 1 : 0] =
-        static_cast<double>(seed_us) / static_cast<double>(arena_us);
+      identical = identical && seed_runs == arena_runs;
+      if (key_set == "short") {
+        speedups[with_combiner ? 1 : 0] =
+            static_cast<double>(seed_us) / static_cast<double>(arena_us);
+      }
 
-    // Informational: the same input under an 8 MiB budget — multiple
-    // spills plus the loser-tree merge, still byte-identical output.
-    const JobSpec tight_spec = makeSpec(with_combiner, 8);
-    std::vector<Bytes> tight_runs;
-    const int64_t tight_us = bestOfReps(
-        [&] { tight_runs = arenaCollect(input, tight_spec, spills); });
-    rows.push_back({"arena_spill8mb", with_combiner, tight_us, spills});
-    std::printf("%-14s %-9s %12lld %8lld\n", "arena_spill8mb",
-                with_combiner ? "yes" : "no",
-                static_cast<long long>(tight_us),
-                static_cast<long long>(spills));
-    identical = identical && seed_runs == tight_runs;
+      // Informational: the same input under an 8 MiB budget — multiple
+      // spills plus the loser-tree merge, still byte-identical output.
+      const JobSpec tight_spec = makeSpec(with_combiner, 8);
+      std::vector<Bytes> tight_runs;
+      arena_row(input, tight_spec, key_set, "arena_spill8mb", tight_runs);
+      identical = identical && seed_runs == tight_runs;
+    }
   }
 
-  std::printf("\nspeedup (single spill): %.2fx plain, %.2fx with combiner; "
-              "outputs byte-identical: %s\n",
+  std::printf("\nspeedup on short keys (single spill): %.2fx plain, %.2fx "
+              "with combiner; outputs byte-identical: %s\n",
               speedups[0], speedups[1], identical ? "yes" : "NO");
 
   std::ofstream json(out_path);
@@ -235,10 +271,12 @@ int main(int argc, char** argv) {
        << "  \"speedup_combiner\": " << speedups[1] << ",\n"
        << "  \"results\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
-    json << "    {\"path\": \"" << rows[i].path << "\", \"combiner\": "
+    json << "    {\"keys\": \"" << rows[i].keys << "\", \"path\": \""
+         << rows[i].path << "\", \"combiner\": "
          << (rows[i].combiner ? "true" : "false")
          << ", \"micros\": " << rows[i].micros
-         << ", \"spills\": " << rows[i].spills << "}"
+         << ", \"spills\": " << rows[i].spills
+         << ", \"sort_micros\": " << rows[i].sort_micros << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";

@@ -15,12 +15,17 @@
 
 namespace mh::apps {
 
-/// Tokenizes on whitespace, lower-cases ASCII, strips leading/trailing
-/// punctuation; emits (word, 1).
+/// Tokenizes on whitespace, strips leading/trailing characters that are
+/// neither alphanumeric nor an apostrophe, lower-cases ASCII (the C-locale
+/// `isspace`/`isalnum`/`tolower` rules); emits (word, 1). The line is
+/// scanned in place: no per-token allocation.
 class WordCountMapper : public mr::Mapper {
  public:
   void map(std::string_view key, std::string_view value,
            mr::TaskContext& ctx) override;
+
+ private:
+  std::string word_;  ///< the current lower-cased token, reused per emit
 };
 
 /// Sums counts, re-emitting the binary int64 (usable as a combiner).

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "apps_test_util.h"
 #include "mh/apps/select_max.h"
+#include "mh/common/rng.h"
+#include "mh/common/strings.h"
 #include "mh/data/text_corpus.h"
 
 namespace mh::apps {
@@ -12,6 +16,95 @@ namespace {
 using testutil::LocalFsFixture;
 
 class WordCountTest : public LocalFsFixture {};
+
+/// The mapper's original tokenizer, kept as the oracle for the in-place
+/// scan: split on whitespace, trim characters that are neither alphanumeric
+/// nor an apostrophe off both ends, lower-case, drop empty words.
+std::vector<std::string> oracleWords(std::string_view line) {
+  const auto is_word_char = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '\'';
+  };
+  std::vector<std::string> words;
+  for (const auto& token : splitWhitespace(line)) {
+    size_t begin = 0;
+    size_t end = token.size();
+    while (begin < end && !is_word_char(token[begin])) ++begin;
+    while (end > begin && !is_word_char(token[end - 1])) --end;
+    std::string word =
+        toLowerAscii(std::string_view(token).substr(begin, end - begin));
+    if (!word.empty()) words.push_back(std::move(word));
+  }
+  return words;
+}
+
+/// Maps every line through ONE mapper instance (so its reused word buffer
+/// carries over between lines) and checks each line's emissions against
+/// the oracle: the same words, in order, each with the count 1.
+void expectMapperMatchesOracle(const std::vector<std::string>& lines) {
+  Config conf;
+  mr::Counters counters;
+  std::vector<mr::KeyValue> emitted;
+  mr::TaskContext ctx(conf, counters, [&](Bytes key, Bytes value) {
+    emitted.push_back({std::move(key), std::move(value)});
+  });
+  WordCountMapper mapper;
+  const Bytes one = mr::MrCodec<int64_t>::enc(1);
+  for (const std::string& line : lines) {
+    emitted.clear();
+    mapper.map({}, line, ctx);
+    const auto expected = oracleWords(line);
+    ASSERT_EQ(emitted.size(), expected.size()) << "line: " << line;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(emitted[i].key, expected[i]) << "line: " << line;
+      EXPECT_EQ(emitted[i].value, one);
+    }
+  }
+}
+
+TEST(WordCountTokenizerTest, MatchesOracleOnEdgeCases) {
+  using namespace std::string_literals;
+  expectMapperMatchesOracle({
+      "",
+      " \t\v\f\r\n ",
+      "a\tb\vc\fd\re\nf g",
+      "\tLeading and trailing\r",
+      "!!! ... ,,, --- ?!",
+      "'tis rock'n'roll' '' ' \"quoted\" 'single'",
+      "don't DON'T Don'T ''hello''",
+      "UPPER lower MiXeD 123 A1b2C3",
+      "(parenthesised) [bracketed] {braced} <angled>",
+      "mid-word punctuation: e.g. a.b.c well...then",
+      "nul\0inside \0\0 a\0"s,
+      "high \x80\xff bytes \xc3\xa9t\xc3\xa9 caf\xc3\xa9!",
+      "averyveryveryverylongwordthatdoesnotfitinsso short",
+      "x",
+  });
+}
+
+TEST(WordCountTokenizerTest, MatchesOracleOnRandomBytes) {
+  Rng rng(20261018);
+  std::vector<std::string> lines;
+  for (int i = 0; i < 2000; ++i) {
+    std::string line(rng.uniform(120), '\0');
+    for (char& c : line) c = static_cast<char>(rng.uniform(256));
+    lines.push_back(std::move(line));
+  }
+  expectMapperMatchesOracle(lines);
+}
+
+TEST(WordCountTokenizerTest, MatchesOracleOnWordLikeRandomLines) {
+  // Mostly letters, with whitespace, punctuation and apostrophes often
+  // enough that tokens form and their edges get trimmed.
+  static const char kBytes[] = "aZq'x9 \t\v\f\r.,!-\"'E\xc3";
+  Rng rng(7);
+  std::vector<std::string> lines;
+  for (int i = 0; i < 2000; ++i) {
+    std::string line(rng.uniform(80), '\0');
+    for (char& c : line) c = kBytes[rng.uniform(sizeof(kBytes) - 1)];
+    lines.push_back(std::move(line));
+  }
+  expectMapperMatchesOracle(lines);
+}
 
 TEST_F(WordCountTest, NormalizesCaseAndPunctuation) {
   fs_->writeFile(p("in.txt"), "The quick, QUICK fox. Don't stop... don't!\n");

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -236,9 +237,16 @@ TEST_P(MrChaosTest, FaultedRunMatchesFaultFreeRunByteForByte) {
   const auto hosts = cluster.trackerHosts();
   std::string downed;
   bool partitioned = false;
+  // What the driver did, reported per seed: a faster job gets fewer steps,
+  // and the counts show whether the chaos still bites.
+  int steps = 0;
+  int kills = 0;
+  int restarts = 0;
+  int partitions = 0;
   for (int step = 0; step < 60; ++step) {
     if (cluster.jobTracker().status(id).state != JobState::kRunning) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ++steps;
     const auto act = driver.uniform(10);
     if (partitioned) {
       // Partitions stay short: heal on the next tick.
@@ -247,15 +255,26 @@ TEST_P(MrChaosTest, FaultedRunMatchesFaultFreeRunByteForByte) {
     } else if (act < 2 && downed.empty() && !partitioned) {
       downed = hosts[driver.uniform(hosts.size())];
       cluster.killNode(downed);
+      ++kills;
     } else if (act < 5 && !downed.empty()) {
       cluster.restartNode(downed);
       downed.clear();
+      ++restarts;
     } else if (act == 5 && downed.empty()) {
       plan->partition({hosts[driver.uniform(hosts.size())]},
                       {"jobtracker", "namenode"});
       partitioned = true;
+      ++partitions;
     }
   }
+  RecordProperty("driver_steps", steps);
+  RecordProperty("driver_kills", kills);
+  RecordProperty("driver_restarts", restarts);
+  RecordProperty("driver_partitions", partitions);
+  std::printf("chaos seed %llu: driver steps=%d kills=%d restarts=%d "
+              "partitions=%d\n",
+              static_cast<unsigned long long>(seed), steps, kills, restarts,
+              partitions);
   // End of chaos: heal everything and let the job converge.
   plan->heal();
   if (!downed.empty()) cluster.restartNode(downed);

@@ -210,6 +210,47 @@ TEST_F(SortSpillTest, CompressedSpillsMergeByteIdentically) {
   EXPECT_EQ(readCounts(*local_, p("out_packed")), referenceCounts(corpus));
 }
 
+/// Exact framework counters for a small two-map combiner job, worked out
+/// by hand, so a batched counter that is dropped or added twice shows.
+/// Every map record is a 5-letter word plus a 1-byte varint count: 30 bytes
+/// of working set with its 24-byte index entry. The spill threshold is
+/// floor(1 MiB * 0.05) = 52428 bytes, so a spill holds floor(52428 / 30) =
+/// 1747 records.
+///   big.txt:   1000 lines x 4 distinct words = 4000 records, spilled as
+///              1747 + 1747 + 506 (3 spills). Each spill combines to 4
+///              records; the final merge combines those 12 into 4.
+///   small.txt: 2 lines, 3 records, 1 spill combining 3 into 2.
+TEST_F(SortSpillTest, MultiSpillCombinerJobHasExactCounters) {
+  std::string big;
+  for (int i = 0; i < 1000; ++i) big += "apple berry grape melon\n";
+  local_->writeFile(p("in/big.txt"), big);
+  local_->writeFile(p("in/small.txt"), "apple apple\nberry\n");
+
+  auto spec = wordCountSpec({p("in")}, p("out"), true);
+  spec.conf.setInt("io.sort.mb", 1);
+  spec.conf.setDouble("io.sort.spill.percent", 0.05);
+  LocalJobRunner runner(*local_);
+  const auto result = runner.run(std::move(spec));
+  ASSERT_TRUE(result.succeeded()) << result.error;
+
+  const auto count = [&](const char* name) {
+    return result.counters.value(kTaskGroup, name);
+  };
+  EXPECT_EQ(count(kMapInputRecords), 1000 + 2);
+  EXPECT_EQ(count(kMapOutputRecords), 4000 + 3);
+  EXPECT_EQ(count(kMapOutputBytes), (4000 + 3) * 6);
+  EXPECT_EQ(count(kMapSpills), 3 + 1);
+  EXPECT_EQ(count(kCombineInputRecords), (4000 + 3 * 4) + 3);
+  EXPECT_EQ(count(kCombineOutputRecords), (3 * 4 + 4) + 2);
+  EXPECT_EQ(count(kSpilledRecords), (3 * 4 + 4) + 2);
+  EXPECT_EQ(count(kReduceInputRecords), 4 + 2);
+  EXPECT_EQ(count(kReduceOutputRecords), 4);
+  EXPECT_EQ(readCounts(*local_, p("out")),
+            (std::map<std::string, int64_t>{
+                {"apple", 1002}, {"berry", 1001}, {"grape", 1000},
+                {"melon", 1000}}));
+}
+
 /// Sanity for the comfortable case: a small task spills exactly once at
 /// finish() and SPILLED_RECORDS degenerates to MAP_OUTPUT_RECORDS.
 TEST_F(SortSpillTest, SingleSpillTaskWritesEachRecordOnce) {
