@@ -24,6 +24,14 @@ class Counters {
   void increment(std::string_view group, std::string_view name,
                  int64_t delta = 1);
 
+  /// increment(), except that a zero delta is dropped: a counter that
+  /// counted nothing is not created. For counts tallied locally and added
+  /// once per task or pass.
+  void addIfNonZero(std::string_view group, std::string_view name,
+                    int64_t delta) {
+    if (delta != 0) increment(group, name, delta);
+  }
+
   /// Zero when the counter was never incremented.
   int64_t value(std::string_view group, std::string_view name) const;
 
