@@ -1,6 +1,7 @@
 #include "mh/common/codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -28,12 +29,19 @@ constexpr uint8_t kMethodCompressed = 1;  ///< payload is codec-compressed
 // unit carries literals only (its match nibble is 0 and no offset follows).
 
 constexpr size_t kMinMatch = 4;
-constexpr size_t kMaxOffset = 65535;
 constexpr int kHashBits = 14;
-constexpr int kMaxChain = 32;
+/// Skip acceleration: after k probes in a row without a match the matcher
+/// steps 1 + k / 2^kSkipShift bytes to the next probe.
+constexpr int kSkipShift = 6;
 
 uint32_t read32(const char* p) {
   uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint64_t read64(const char* p) {
+  uint64_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;
 }
@@ -42,81 +50,111 @@ uint32_t hash4(uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-void writeLzLen(Bytes& out, size_t len) {
-  // Extension bytes after a nibble of 15: 255-continuations, then the
-  // remainder (which may be 0).
-  while (len >= 255) {
-    out.push_back(static_cast<char>(0xFF));
-    len -= 255;
+/// Number of equal bytes at `a` and `b`, counting forward from both until
+/// `a` reaches `a_end`. Compares 8 bytes per step: the lowest set bit of the
+/// XOR names the first differing byte.
+size_t commonLength(const char* a, const char* b, const char* a_end) {
+  const char* const a_start = a;
+  while (a_end - a >= 8) {
+    const uint64_t diff = read64(a) ^ read64(b);
+    if (diff != 0) {
+      const int bit = std::endian::native == std::endian::little
+                          ? std::countr_zero(diff)
+                          : std::countl_zero(diff);
+      return static_cast<size_t>(a - a_start) + static_cast<size_t>(bit >> 3);
+    }
+    a += 8;
+    b += 8;
   }
-  out.push_back(static_cast<char>(len));
+  while (a < a_end && *a == *b) {
+    ++a;
+    ++b;
+  }
+  return static_cast<size_t>(a - a_start);
 }
 
+/// Writes the extension bytes after a nibble of 15: 255-continuations, then
+/// the remainder (which may be 0).
+char* putLzExt(char* op, size_t len) {
+  while (len >= 255) {
+    *op++ = static_cast<char>(0xFF);
+    len -= 255;
+  }
+  *op++ = static_cast<char>(len);
+  return op;
+}
+
+/// Writes a unit's token and its literals; a match unit's offset and match
+/// extension follow.
+char* putLiterals(char* op, const char* lits, size_t lit_len,
+                  size_t match_code) {
+  *op++ = static_cast<char>((std::min<size_t>(lit_len, 15) << 4) |
+                            std::min<size_t>(match_code, 15));
+  if (lit_len >= 15) op = putLzExt(op, lit_len - 15);
+  std::memcpy(op, lits, lit_len);
+  return op + lit_len;
+}
+
+/// Greedy single-probe matcher. One hash table of 16-bit frame positions
+/// (a frame is at most 64 KiB, so every position and offset fits) holds the
+/// latest position seen for each 4-byte hash. Each probed position is
+/// checked against that one candidate; a hit is extended backward into the
+/// pending literals and forward 8 bytes at a time. Misses step further
+/// apart the longer they run, so noise costs little and ends stored.
 void mhLzCompress(std::string_view raw, Bytes& out) {
   const size_t n = raw.size();
   const char* const base = raw.data();
-  std::vector<int32_t> head(size_t{1} << kHashBits, -1);
-  std::vector<int32_t> prev(n, -1);
+  // Worst case: every byte a literal, plus one extension byte per 255 and
+  // the final token.
+  const size_t start = out.size();
+  out.resize(start + n + n / 255 + 16);
+  char* op = out.data() + start;
 
   size_t anchor = 0;  // first literal not yet emitted
-  size_t i = 0;
-  const size_t match_limit = n >= kMinMatch ? n - kMinMatch + 1 : 0;
-  while (i < match_limit) {
-    // Walk the hash chain for the best match at i (greedy).
-    const uint32_t h = hash4(read32(base + i));
-    size_t best_len = 0;
-    size_t best_pos = 0;
-    int32_t cand = head[h];
-    for (int depth = 0; cand >= 0 && depth < kMaxChain;
-         cand = prev[static_cast<size_t>(cand)], ++depth) {
-      const size_t c = static_cast<size_t>(cand);
-      if (i - c > kMaxOffset) break;  // chain only grows older
-      if (read32(base + c) != read32(base + i)) continue;
-      size_t len = kMinMatch;
-      const size_t max_len = n - i;
-      while (len < max_len && base[c + len] == base[i + len]) ++len;
-      if (len > best_len) {
-        best_len = len;
-        best_pos = c;
+  if (n >= kMinMatch) {
+    thread_local std::vector<uint16_t> table(size_t{1} << kHashBits);
+    std::fill(table.begin(), table.end(), uint16_t{0});
+    const size_t probe_end = n - kMinMatch;  // last position with 4 bytes
+    size_t ip = 0;
+    while (true) {
+      // An empty slot reads as position 0; the byte compare rejects it like
+      // any other stale candidate.
+      size_t ref = 0;
+      for (size_t misses = size_t{1} << kSkipShift; ip <= probe_end;
+           ip += misses++ >> kSkipShift) {
+        const uint32_t seq = read32(base + ip);
+        const uint32_t h = hash4(seq);
+        ref = table[h];
+        table[h] = static_cast<uint16_t>(ip);
+        if (ref < ip && read32(base + ref) == seq) break;
       }
-    }
-
-    if (best_len >= kMinMatch) {
-      const size_t lit_len = i - anchor;
-      const size_t match_code = best_len - kMinMatch;
-      out.push_back(static_cast<char>(
-          (std::min<size_t>(lit_len, 15) << 4) |
-          std::min<size_t>(match_code, 15)));
-      if (lit_len >= 15) writeLzLen(out, lit_len - 15);
-      out.append(base + anchor, lit_len);
-      const size_t offset = i - best_pos;
-      out.push_back(static_cast<char>(offset & 0xFF));
-      out.push_back(static_cast<char>((offset >> 8) & 0xFF));
-      if (match_code >= 15) writeLzLen(out, match_code - 15);
-
-      // Insert the covered positions into the chains so later matches can
-      // reference inside this one.
-      const size_t match_end = i + best_len;
-      for (size_t p = i, e = std::min(match_end, match_limit); p < e; ++p) {
-        const uint32_t ih = hash4(read32(base + p));
-        prev[p] = head[ih];
-        head[ih] = static_cast<int32_t>(p);
+      if (ip > probe_end) break;
+      while (ip > anchor && ref > 0 && base[ip - 1] == base[ref - 1]) {
+        --ip;
+        --ref;
       }
-      i = match_end;
-      anchor = match_end;
-    } else {
-      prev[i] = head[h];
-      head[h] = static_cast<int32_t>(i);
-      ++i;
+      const size_t match_len =
+          kMinMatch + commonLength(base + ip + kMinMatch,
+                                   base + ref + kMinMatch, base + n);
+      const size_t offset = ip - ref;
+      const size_t match_code = match_len - kMinMatch;
+      op = putLiterals(op, base + anchor, ip - anchor, match_code);
+      *op++ = static_cast<char>(offset & 0xFF);
+      *op++ = static_cast<char>(offset >> 8);
+      if (match_code >= 15) op = putLzExt(op, match_code - 15);
+      ip += match_len;
+      anchor = ip;
+      // One insert near the match's end lets the next repeat of what
+      // follows find it.
+      if (ip - 2 <= probe_end) {
+        table[hash4(read32(base + ip - 2))] = static_cast<uint16_t>(ip - 2);
+      }
     }
   }
-
   // Final literals-only unit (always emitted, even for an empty tail, so
   // the decoder unambiguously consumes the whole payload).
-  const size_t lit_len = n - anchor;
-  out.push_back(static_cast<char>(std::min<size_t>(lit_len, 15) << 4));
-  if (lit_len >= 15) writeLzLen(out, lit_len - 15);
-  out.append(base + anchor, lit_len);
+  op = putLiterals(op, base + anchor, n - anchor, 0);
+  out.resize(static_cast<size_t>(op - out.data()));
 }
 
 void mhLzDecompress(std::string_view payload, size_t raw_len, Bytes& out) {

@@ -44,7 +44,12 @@ namespace mh {
 /// Wire identifiers — stable, they appear in stored streams and meta files.
 enum class CodecKind : uint8_t {
   kNone = 0,   ///< identity; never appears in a framed stream
-  kMhLz = 1,   ///< byte-oriented LZ77, greedy hash-chain match, 64 KiB window
+  /// Byte-oriented LZ77 (LZ4-style tokens), 64 KiB window. The matcher is
+  /// greedy and single-probe: a per-thread table of 2^14 16-bit positions
+  /// gives one candidate per 4-byte hash; hits extend backward into the
+  /// pending literals and forward 8 bytes at a time; misses step further
+  /// apart as they run, so noise is cheap to give up on and ends stored.
+  kMhLz = 1,
   kVarRle = 2  ///< varint-token run-length encoding
 };
 

@@ -134,12 +134,18 @@ class JobTracker {
     uint64_t output_generation = 0;
   };
 
+  /// A job's scheduling state while it runs. When it finishes, its per-task
+  /// state (`maps`, `reduces`, `map_events`) is released; what status(),
+  /// wait(), listJobs() and the job history still need stays: the final
+  /// status, counters, timings, trace identity and the attempt journal.
   struct JobInProgress {
     JobId id = 0;
     std::shared_ptr<const JobSpec> spec;
     std::vector<TaskInProgress> maps;
     std::vector<TaskInProgress> reduces;
     JobState state = JobState::kRunning;
+    /// status() of a finished job, taken as it finished.
+    JobStatus final_status;
     std::string error;
     Counters counters;
     int64_t map_millis = 0;
@@ -208,6 +214,9 @@ class JobTracker {
   void expireTrackersLocked();
   void timeoutTasksLocked();
   JobStatus statusLocked(const JobInProgress& job) const;
+  /// Per-task entries (map and reduce records, map-completion events) that
+  /// `jobs_` holds; the `tasks.retained` gauge.
+  size_t retainedTaskEntriesLocked() const;
 
   Config conf_;
   std::shared_ptr<net::Network> network_;
@@ -226,7 +235,11 @@ class JobTracker {
 
   mutable std::mutex lock_;
   std::condition_variable job_done_;
+  /// Every job ever submitted (finished ones hold no per-task state).
   std::map<JobId, JobInProgress> jobs_;
+  /// Ids of the jobs still running, ascending: the scheduling, expiry and
+  /// timeout passes walk only these.
+  std::set<JobId> running_jobs_;
   std::map<std::string, TrackerInfo> trackers_;
   /// Trackers owed a `wake`, queued by *Locked() helpers. Every entry
   /// point that can queue one (submit, trackerHeartbeat, runMonitorOnce)

@@ -53,11 +53,11 @@ JobTracker::JobTracker(Config conf, std::shared_ptr<net::Network> network,
   });
   metrics_->setGauge("jobs.running", [this] {
     std::lock_guard<std::mutex> guard(lock_);
-    double running = 0;
-    for (const auto& [id, job] : jobs_) {
-      if (job.state == JobState::kRunning) ++running;
-    }
-    return running;
+    return static_cast<double>(running_jobs_.size());
+  });
+  metrics_->setGauge("tasks.retained", [this] {
+    std::lock_guard<std::mutex> guard(lock_);
+    return static_cast<double>(retainedTaskEntriesLocked());
   });
 }
 
@@ -65,7 +65,7 @@ JobTracker::~JobTracker() {
   stop();
   // The registry (and any MetricsSnapshotter sampling it) outlives this
   // daemon; replace `this`-capturing gauges with their final values.
-  for (const char* name : {"trackers.live", "jobs.running"}) {
+  for (const char* name : {"trackers.live", "jobs.running", "tasks.retained"}) {
     metrics_->setGauge(name, [v = metrics_->gaugeValue(name)] { return v; });
   }
 }
@@ -165,6 +165,7 @@ JobId JobTracker::submit(JobSpec spec) {
                     {"maps", std::to_string(job.maps.size())},
                     {"reduces", std::to_string(job.reduces.size())}});
   jobs_.emplace(id, std::move(job));
+  running_jobs_.insert(id);
   // Every live tracker can take one of the new maps.
   wakeLiveTrackersLocked();
   const std::set<std::string> wakes = std::exchange(pending_wakes_, {});
@@ -196,6 +197,7 @@ JobResult JobTracker::wait(JobId id) {
 }
 
 JobStatus JobTracker::statusLocked(const JobInProgress& job) const {
+  if (job.state != JobState::kRunning) return job.final_status;
   JobStatus status;
   status.id = job.id;
   status.name = job.spec->name;
@@ -217,6 +219,14 @@ JobStatus JobTracker::status(JobId id) const {
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) throw NotFoundError("job " + std::to_string(id));
   return statusLocked(it->second);
+}
+
+size_t JobTracker::retainedTaskEntriesLocked() const {
+  size_t entries = 0;
+  for (const auto& [id, job] : jobs_) {
+    entries += job.maps.size() + job.reduces.size() + job.map_events.size();
+  }
+  return entries;
 }
 
 std::vector<JobStatus> JobTracker::listJobs() const {
@@ -262,23 +272,47 @@ std::string JobTracker::renderJobDetails(JobId id) const {
   if (!job.error.empty()) out << "  error: " << job.error << "\n";
   out << job.counters.render();
 
+  // One row per task. A running job reads its live task state; a finished
+  // one has released that, so its rows replay the attempt journal: the
+  // last successful attempt wins, else an attempt still open.
+  struct Row {
+    TaskState state = TaskState::kPending;
+    std::string tracker;
+  };
+  std::vector<Row> map_rows(status.maps_total);
+  std::vector<Row> reduce_rows(status.reduces_total);
+  if (job.state == JobState::kRunning) {
+    for (size_t i = 0; i < job.maps.size(); ++i) {
+      map_rows[i] = {job.maps[i].state, job.maps[i].tracker};
+    }
+    for (size_t i = 0; i < job.reduces.size(); ++i) {
+      reduce_rows[i] = {job.reduces[i].state, job.reduces[i].tracker};
+    }
+  } else {
+    for (const TaskAttemptRecord& attempt : job.attempts) {
+      auto& rows = attempt.is_map ? map_rows : reduce_rows;
+      if (attempt.task_index >= rows.size()) continue;
+      Row& row = rows[attempt.task_index];
+      if (attempt.succeeded) {
+        row = {TaskState::kSucceeded, attempt.tracker};
+      } else if (!attempt.finished && row.state != TaskState::kSucceeded) {
+        row = {TaskState::kRunning, attempt.tracker};
+      }
+    }
+  }
   out << "  tasks:\n";
-  for (size_t i = 0; i < job.maps.size(); ++i) {
-    const TaskInProgress& task = job.maps[i];
-    out << "    m" << i << "  "
-        << (task.state == TaskState::kSucceeded   ? "SUCCEEDED"
-            : task.state == TaskState::kRunning ? "RUNNING  "
-                                                : "PENDING  ")
-        << (task.tracker.empty() ? "" : "  on " + task.tracker) << "\n";
-  }
-  for (size_t i = 0; i < job.reduces.size(); ++i) {
-    const TaskInProgress& task = job.reduces[i];
-    out << "    r" << i << "  "
-        << (task.state == TaskState::kSucceeded   ? "SUCCEEDED"
-            : task.state == TaskState::kRunning ? "RUNNING  "
-                                                : "PENDING  ")
-        << (task.tracker.empty() ? "" : "  on " + task.tracker) << "\n";
-  }
+  const auto render = [&out](const char* kind, const std::vector<Row>& rows) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      out << "    " << kind << i << "  "
+          << (rows[i].state == TaskState::kSucceeded   ? "SUCCEEDED"
+              : rows[i].state == TaskState::kRunning ? "RUNNING  "
+                                                     : "PENDING  ")
+          << (rows[i].tracker.empty() ? "" : "  on " + rows[i].tracker)
+          << "\n";
+    }
+  };
+  render("m", map_rows);
+  render("r", reduce_rows);
   return out.str();
 }
 
@@ -306,8 +340,19 @@ void JobTracker::failJobLocked(JobInProgress& job, const std::string& error) {
 }
 
 void JobTracker::finishJobLocked(JobInProgress& job, JobState state) {
+  job.final_status = statusLocked(job);
+  job.final_status.state = state;
   job.state = state;
   job.finish_ms = steadyMillis();
+  running_jobs_.erase(job.id);
+  // Nothing schedules, reports into or replays the feed of a finished job:
+  // release its per-task state.
+  job.maps.clear();
+  job.maps.shrink_to_fit();
+  job.reduces.clear();
+  job.reduces.shrink_to_fit();
+  job.map_events.clear();
+  job.map_events.shrink_to_fit();
   logInfo(kLog) << "job " << job.id << " " << jobStateName(state)
                 << (job.error.empty() ? "" : (": " + job.error));
   (state == JobState::kSucceeded ? jobs_succeeded_ : jobs_failed_)->add();
@@ -616,8 +661,8 @@ void JobTracker::assignTasksLocked(const std::string& tracker_host,
     return Locality::kRemote;
   };
 
-  for (auto& [id, job] : jobs_) {
-    if (job.state != JobState::kRunning) continue;
+  for (const JobId id : running_jobs_) {
+    JobInProgress& job = jobs_.at(id);
     for (int pass = 0; pass < 3 && free_map_slots > 0; ++pass) {
       const auto want = static_cast<Locality>(pass);
       for (size_t i = 0; i < job.maps.size() && free_map_slots > 0; ++i) {
@@ -660,8 +705,8 @@ void JobTracker::assignTasksLocked(const std::string& tracker_host,
   // event-feed cursor it is current through; locations for maps that
   // finish later ride the heartbeat map-completion feed, so the reduce's
   // shuffle overlaps the rest of the map wave.
-  for (auto& [id, job] : jobs_) {
-    if (job.state != JobState::kRunning) continue;
+  for (const JobId id : running_jobs_) {
+    JobInProgress& job = jobs_.at(id);
     if (!reduceLaunchableLocked(job)) continue;
     for (size_t i = 0; i < job.reduces.size() && free_reduce_slots > 0; ++i) {
       TaskInProgress& task = job.reduces[i];
@@ -700,8 +745,9 @@ void JobTracker::assignSpeculativeLocked(const std::string& tracker_host,
                                          std::vector<TaskAssignment>& out) {
   const int64_t min_runtime = conf_.getInt("mapred.speculative.min.ms", 500);
   const int64_t now = steadyMillis();
-  for (auto& [id, job] : jobs_) {
-    if (job.state != JobState::kRunning || free_map_slots == 0) continue;
+  for (const JobId id : running_jobs_) {
+    if (free_map_slots == 0) break;
+    JobInProgress& job = jobs_.at(id);
     // A straggler is judged against the average of completed maps; need a
     // sample to compare with.
     uint32_t completed = 0;
@@ -812,8 +858,8 @@ void JobTracker::expireTrackersLocked() {
     info.alive = false;
     logWarn(kLog) << "tasktracker " << host << " lost";
     tracer_->instant("jobtracker", "TRACKER_LOST " + host);
-    for (auto& [id, job] : jobs_) {
-      if (job.state != JobState::kRunning) continue;
+    for (const JobId id : running_jobs_) {
+      JobInProgress& job = jobs_.at(id);
       // Close the journal on every attempt that died with the tracker.
       for (auto& record : job.attempts) {
         if (!record.finished && record.tracker == host) {
@@ -873,8 +919,11 @@ void JobTracker::timeoutTasksLocked() {
   const int64_t now = steadyMillis();
   const auto max_attempts =
       static_cast<uint32_t>(conf_.getInt("mapred.max.attempts", 4));
-  for (auto& [id, job] : jobs_) {
-    if (job.state != JobState::kRunning) continue;
+  // A timeout can fail (and so finish) the job being swept, which removes it
+  // from running_jobs_: step past it before sweeping.
+  for (auto it = running_jobs_.begin(); it != running_jobs_.end();) {
+    const JobId id = *it++;
+    JobInProgress& job = jobs_.at(id);
     const auto sweep = [&](std::vector<TaskInProgress>& tasks, bool is_map) {
       for (size_t i = 0; i < tasks.size(); ++i) {
         if (job.state != JobState::kRunning) return;

@@ -747,6 +747,10 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
     std::lock_guard<std::mutex> lock(shuffles_mutex_);
     shuffles_.push_back(state);
   }
+  // A wake for events past the cursor may have come before this
+  // subscription, and its beat then presented no cursor for the job: beat
+  // again now, or those events would wait for the next periodic beat.
+  beat_.notify();
   struct Unsubscribe {
     TaskTracker* tracker;
     const std::shared_ptr<PipelinedShuffleState>& state;

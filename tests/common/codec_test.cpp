@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "mh/common/bytes.h"
 #include "mh/common/error.h"
 #include "mh/common/rng.h"
 
@@ -29,6 +33,99 @@ std::string repetitiveText(size_t approx) {
 }
 
 const CodecKind kCodecs[] = {CodecKind::kMhLz, CodecKind::kVarRle};
+
+/// One mh-lz unit as the encoder wrote it; the final unit of a frame has no
+/// match (match_len 0).
+struct LzUnit {
+  size_t lit_len = 0;
+  size_t match_len = 0;
+  size_t offset = 0;
+};
+
+/// What an mh-lz stream holds, frame by frame: how many frames were stored
+/// raw, and the units of every compressed frame. Walks the token format
+/// documented in codec.cpp; assumes a well-formed stream.
+struct LzLayout {
+  size_t stored_frames = 0;
+  size_t compressed_frames = 0;
+  std::vector<std::vector<LzUnit>> frames;  // compressed frames only
+};
+
+LzLayout lzLayout(std::string_view stream) {
+  ByteReader r(stream);
+  r.readRaw(kCodecHeaderBytes);
+  LzLayout layout;
+  while (!r.atEnd()) {
+    r.readVarU64();  // raw_len
+    const uint8_t method = r.readU8();
+    const size_t payload_len = static_cast<size_t>(r.readVarU64());
+    r.readU32();  // crc
+    ByteReader p(r.readRaw(payload_len));
+    if (method == 0) {
+      ++layout.stored_frames;
+      continue;
+    }
+    ++layout.compressed_frames;
+    std::vector<LzUnit>& units = layout.frames.emplace_back();
+    const auto readExt = [&p](size_t len) {
+      uint8_t b;
+      do {
+        b = p.readU8();
+        len += b;
+      } while (b == 0xFF);
+      return len;
+    };
+    while (true) {
+      const uint8_t token = p.readU8();
+      LzUnit unit;
+      unit.lit_len = token >> 4;
+      if (unit.lit_len == 15) unit.lit_len = readExt(15);
+      p.readRaw(unit.lit_len);
+      if (p.atEnd()) {
+        units.push_back(unit);
+        break;
+      }
+      unit.offset = p.readU8();
+      unit.offset |= static_cast<size_t>(p.readU8()) << 8;
+      unit.match_len = (token & 0x0F) + 4;
+      if ((token & 0x0F) == 15) unit.match_len = readExt(15) + 4;
+      units.push_back(unit);
+    }
+  }
+  return layout;
+}
+
+bool anyUnit(const LzLayout& layout, bool (*pred)(const LzUnit&)) {
+  for (const auto& units : layout.frames) {
+    if (std::any_of(units.begin(), units.end(), pred)) return true;
+  }
+  return false;
+}
+
+/// TeraGen-like rows of exactly 100 bytes, the Sort workload's input shape:
+/// a 10-byte random key, a tab, a 10-digit row number, six 13-byte runs of
+/// one random letter each, a newline.
+std::string sortRows(size_t rows, uint64_t seed) {
+  static const char kAlnum[] =
+      "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz";
+  Rng rng(seed);
+  std::string out;
+  char row[100];
+  for (size_t id = 0; id < rows; ++id) {
+    for (int i = 0; i < 10; ++i) row[i] = kAlnum[rng.uniform(62)];
+    row[10] = '\t';
+    char digits[24];
+    std::snprintf(digits, sizeof(digits), "%010zu", id);
+    std::memcpy(row + 11, digits, 10);
+    for (int g = 0; g < 6; ++g) {
+      std::fill_n(row + 21 + g * 13, 13,
+                  static_cast<char>('A' + rng.uniform(26)));
+    }
+    row[99] = '\n';
+    out.append(row, sizeof(row));
+  }
+  return out;
+}
 
 TEST(CodecTest, NameAndIdRoundTrip) {
   EXPECT_EQ(codecFromName("none"), CodecKind::kNone);
@@ -211,6 +308,139 @@ TEST(CodecTest, OverlappingMatchesDecodeCorrectly) {
   const Bytes stream = codecEncode(CodecKind::kMhLz, raw);
   EXPECT_LT(stream.size(), 2000u);
   EXPECT_EQ(codecDecode(stream).view(), raw);
+}
+
+TEST(CodecTest, MhLzRoundTripsEveryMatcherShape) {
+  const auto roundTrip = [](const std::string& raw, const char* shape) {
+    const Bytes stream = codecEncode(CodecKind::kMhLz, raw);
+    EXPECT_EQ(codecDecode(stream).view(), raw) << shape;
+    return lzLayout(stream);
+  };
+
+  // Empty and shorter than one 4-byte probe.
+  for (size_t n = 0; n <= 5; ++n) roundTrip(std::string(n, 'q'), "tiny");
+  roundTrip("abcab", "tiny distinct");
+
+  // Exactly one frame, and one byte more (a 1-byte second frame).
+  const std::string frame = repetitiveText(kCodecFrameRawBytes);
+  EXPECT_EQ(roundTrip(frame, "one frame").compressed_frames, 1u);
+  const LzLayout over = roundTrip(frame + "!", "one frame + 1");
+  EXPECT_EQ(over.compressed_frames + over.stored_frames, 2u);
+
+  // A match running to the frame's last byte leaves an empty final unit.
+  std::string to_end;
+  while (to_end.size() < 4000) to_end += "0123456789abcdef";
+  const LzLayout end_layout = roundTrip(to_end, "match to last byte");
+  ASSERT_EQ(end_layout.frames.size(), 1u);
+  EXPECT_EQ(end_layout.frames[0].back().lit_len, 0u);
+  EXPECT_GT(end_layout.frames[0][end_layout.frames[0].size() - 2].match_len,
+            0u);
+
+  // The farthest match a frame can hold. Offsets are 16-bit (65535 is
+  // encodable), but a 4-byte match must start at or before byte 65532 of
+  // a 64 KiB frame, so 65532 is the largest offset reachable: a 4-byte tag
+  // at the start, zeros, the same tag as the frame's last 4 bytes.
+  std::string far(kCodecFrameRawBytes, '\0');
+  far.replace(0, 4, "WXYZ");
+  far.replace(kCodecFrameRawBytes - 4, 4, "WXYZ");
+  const LzLayout far_layout = roundTrip(far, "largest offset");
+  EXPECT_TRUE(anyUnit(far_layout, [](const LzUnit& u) {
+    return u.offset == kCodecFrameRawBytes - 4 && u.match_len == 4;
+  }));
+
+  // Literal and match lengths past 15 + 255 need two extension bytes.
+  const std::string noise = incompressibleBytes(1000, 31);
+  const LzLayout long_layout = roundTrip(noise + noise, "long lengths");
+  EXPECT_TRUE(anyUnit(long_layout, [](const LzUnit& u) {
+    return u.lit_len > 15 + 255 && u.match_len > 15 + 255;
+  }));
+
+  // Backward extension reaching the anchor. After 64 straight misses the
+  // matcher probes every other byte, so in 400 noise bytes position 65 is
+  // never probed but 66 is. A run of 'Z's (one match) ends exactly where a
+  // copy of noise[65..400) starts: the probe there misses, the next one
+  // hits position 66, and the match grows back by one byte to the anchor.
+  const std::string r = incompressibleBytes(400, 77);
+  const std::string back = r + std::string(40, 'Z') + r.substr(65);
+  const LzLayout back_layout = roundTrip(back, "backward extension");
+  ASSERT_EQ(back_layout.frames.size(), 1u);
+  const size_t copy_at = r.size() + 40;
+  EXPECT_TRUE(std::any_of(
+      back_layout.frames[0].begin(), back_layout.frames[0].end(),
+      [&](const LzUnit& u) {
+        return u.lit_len == 0 && u.offset == copy_at - 65 &&
+               u.match_len == r.size() - 65;
+      }));
+
+  // All zeros collapse to a few units per frame.
+  const std::string zeros(3 * kCodecFrameRawBytes, '\0');
+  const Bytes zero_stream = codecEncode(CodecKind::kMhLz, zeros);
+  EXPECT_LT(zero_stream.size(), 3 * 300u);
+  EXPECT_EQ(codecDecode(zero_stream).view(), zeros);
+
+  // Random bytes come back as stored frames.
+  const LzLayout random_layout =
+      roundTrip(incompressibleBytes(3 * kCodecFrameRawBytes + 9, 5), "random");
+  EXPECT_EQ(random_layout.compressed_frames, 0u);
+  EXPECT_EQ(random_layout.stored_frames, 4u);
+}
+
+/// The raw bytes behind kLegacyStream.
+std::string legacyRaw() {
+  std::string raw;
+  for (int i = 0; i < 3; ++i) {
+    raw += "the namenode journals every edit before it acks; ";
+  }
+  Rng rng(2014);
+  for (int i = 0; i < 300; ++i) raw.push_back(static_cast<char>(rng.next()));
+  raw += std::string(300, '=');
+  raw += "mapreduce shuffle sort spill merge mapreduce shuffle sort spill "
+         "merge\n";
+  return raw;
+}
+
+/// legacyRaw() as encoded by the hash-chain matcher that mh-lz used before
+/// the single-probe one (up to 32 chain candidates per position). Streams
+/// written then live on in FileBlockStore replicas and spill runs; the
+/// decoder must keep reading them.
+constexpr const char* kLegacyStream =
+    "4d48433101b1060194036df66017ff22746865206e616d656e6f6465206a6f75"
+    "726e616c732065766572792065646974206265666f72652069742061636b733b"
+    "2031004fffff1fb61bef070d6718ef9c2951382ee9d75f7fea7a67e7dbfc6aec"
+    "36078d3b1649960b1565c4374d0d5967be817e500225d742de59f30ec55f8e09"
+    "a0355a478a80ca3dcf9ff0c597c18a18f4cb22183d877f810a718548da045058"
+    "29d472b12aa9c8b2952be758fec5a1c14a51fb4f539574ec714e0fb8323c96c9"
+    "eb24c34e56826f201e2fea5d1363c1ad4bd6dbb225f64fcb9008b5f619f684a5"
+    "29429ce0c49d1ffe26d5069347f76d55b2675f4f6dd8a920a98dcf0edb736402"
+    "17643c34933b4011d137e2e9ebf8fc78f9ab849a815672df5d8790835a9ba751"
+    "2925765201950cf708bf7754a67374999e028eae968e94881dab705908c6b038"
+    "4de8dac87a32f37a6d58e49c06deb9e5fbee4387cc126fe638dd867dcc8c7c4d"
+    "fd6ef03dc83faf9c6dc5d4aaa4e0fd884b35713d0100ff19ff146d6170726564"
+    "7563652073687566666c6520736f7274207370696c6c206d657267652023000f"
+    "100a";
+
+TEST(CodecTest, LegacyChainMatcherStreamStillDecodes) {
+  std::string stream;
+  const std::string_view hex = kLegacyStream;
+  for (size_t i = 0; i < hex.size(); i += 2) {
+    stream.push_back(
+        static_cast<char>(std::stoi(std::string(hex.substr(i, 2)), nullptr,
+                                    16)));
+  }
+  const LzLayout layout = lzLayout(stream);
+  ASSERT_EQ(layout.compressed_frames, 1u);
+  EXPECT_EQ(codecDecode(stream).view(), legacyRaw());
+}
+
+TEST(CodecTest, SortRowsShrinkAtLeastTwoAndAHalfTimes) {
+  // The ratio floor keeps a matcher that silently stores everything (or
+  // finds almost nothing) from passing the round-trip tests.
+  const std::string raw = sortRows(20'000, 7);
+  const Bytes stream = codecEncode(CodecKind::kMhLz, raw);
+  EXPECT_EQ(codecDecode(stream).view(), raw);
+  const double ratio =
+      static_cast<double>(raw.size()) / static_cast<double>(stream.size());
+  EXPECT_GE(ratio, 2.5);
 }
 
 TEST(CodecTest, RandomizedRoundTripSweep) {

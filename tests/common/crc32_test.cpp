@@ -9,8 +9,8 @@
 namespace mh {
 namespace {
 
-/// Straightforward table-free bytewise CRC-32C — the oracle the slice-by-8
-/// production implementation must match bit-for-bit on every input.
+/// Straightforward table-free bytewise CRC-32C — the oracle both production
+/// paths (SSE4.2 and slice-by-8) must match bit-for-bit on every input.
 uint32_t referenceCrc32c(std::string_view data, uint32_t seed = 0) {
   uint32_t crc = ~seed;
   for (const char c : data) {
@@ -92,6 +92,37 @@ TEST(Crc32cTest, SeededChainingMatchesReferenceAtRandomCuts) {
     const uint32_t ref_head =
         referenceCrc32c(std::string_view(data).substr(0, cut));
     EXPECT_EQ(ref_head, head);
+  }
+}
+
+TEST(Crc32cTest, PortablePathMatchesDispatchedPath) {
+  // crc32c runs the SSE4.2 instruction wherever the CPU has it, so without
+  // this sweep the table-driven fallback would go untested on such CPUs.
+  // Every length 0..4096 at every start offset 0..7, and chained from
+  // non-zero seeds.
+  Rng rng(2024);
+  std::string blob(4096 + 8, '\0');
+  for (auto& c : blob) c = static_cast<char>(rng.uniform(256));
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      const std::string_view chunk(blob.data() + align, len);
+      ASSERT_EQ(crc32cPortable(chunk), crc32c(chunk))
+          << "align " << align << " len " << len;
+    }
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto seed = static_cast<uint32_t>(rng.next() | 1);
+    const size_t off = rng.uniform(8);
+    const size_t len = rng.uniform(4097);
+    const std::string_view chunk(blob.data() + off, len);
+    const uint32_t expect = crc32cPortable(chunk, seed);
+    ASSERT_EQ(crc32c(chunk, seed), expect) << "seed " << seed;
+    ASSERT_EQ(referenceCrc32c(chunk, seed), expect) << "seed " << seed;
+    const size_t cut = rng.uniform(len + 1);
+    EXPECT_EQ(crc32c(chunk.substr(cut), crc32cPortable(chunk.substr(0, cut),
+                                                        seed)),
+              expect)
+        << "cut " << cut;
   }
 }
 

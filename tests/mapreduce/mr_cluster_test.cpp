@@ -135,6 +135,60 @@ TEST(MiniMrClusterTest, SequentialJobsShareTheCluster) {
   EXPECT_EQ(readCounts(fs, "/out1"), readCounts(fs, "/out2"));
 }
 
+TEST(MiniMrClusterTest, FinishedJobsReleaseTheirPerTaskState) {
+  // A long-lived JobTracker must not keep every finished job's task
+  // records and event feed: after 20 jobs the retained-entry ledger is
+  // back to 0, while status, the listing, wait() and the history still
+  // answer for each job.
+  MiniMrCluster cluster({.num_nodes = 2, .conf = fastConf()});
+  const std::string corpus = makeCorpus(60, 9);
+  cluster.client().writeFile("/in/t.txt", corpus);
+  MetricsRegistry& jt = cluster.metrics().child("jobtracker");
+  std::vector<JobId> ids;
+  std::vector<JobResult> results;
+  for (int i = 0; i < 20; ++i) {
+    const JobId id = cluster.jobTracker().submit(
+        wordCountSpec({"/in"}, "/out" + std::to_string(i), false, 2));
+    if (i == 0) {
+      EXPECT_GT(jt.gaugeValue("tasks.retained"), 0.0);
+    }
+    results.push_back(cluster.jobTracker().wait(id));
+    ASSERT_TRUE(results.back().succeeded()) << results.back().error;
+    ids.push_back(id);
+  }
+  EXPECT_DOUBLE_EQ(jt.gaugeValue("tasks.retained"), 0.0);
+  EXPECT_DOUBLE_EQ(jt.gaugeValue("jobs.running"), 0.0);
+
+  const auto listed = cluster.jobTracker().listJobs();
+  ASSERT_EQ(listed.size(), ids.size());
+  HdfsFs fs(cluster.client());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const JobStatus status = cluster.jobTracker().status(ids[i]);
+    EXPECT_EQ(status.state, JobState::kSucceeded);
+    EXPECT_GT(status.maps_total, 0u);
+    EXPECT_EQ(status.maps_completed, status.maps_total);
+    EXPECT_EQ(status.reduces_total, 2u);
+    EXPECT_EQ(status.reduces_completed, 2u);
+    EXPECT_EQ(listed[i].id, ids[i]);
+    EXPECT_EQ(listed[i].maps_completed, status.maps_total);
+
+    // wait() on a finished job returns the same report again.
+    const JobResult again = cluster.jobTracker().wait(ids[i]);
+    EXPECT_EQ(again.counters.snapshot(), results[i].counters.snapshot());
+    EXPECT_EQ(again.history.attempts.size(),
+              results[i].history.attempts.size());
+    EXPECT_GE(again.history.attempts.size(), status.maps_total + 2);
+    const std::string history = again.historyReport();
+    EXPECT_NE(history.find("SUCCEEDED"), std::string::npos) << history;
+
+    const std::string page = cluster.jobTracker().renderJobDetails(ids[i]);
+    EXPECT_NE(page.find("m0  SUCCEEDED"), std::string::npos) << page;
+    EXPECT_NE(page.find("r1  SUCCEEDED"), std::string::npos) << page;
+    EXPECT_EQ(readCounts(fs, "/out" + std::to_string(i)),
+              referenceCounts(corpus));
+  }
+}
+
 TEST(MiniMrClusterTest, FailingTaskRetriesThenFailsJob) {
   MiniMrCluster cluster({.num_nodes = 2, .conf = fastConf()});
   cluster.client().writeFile("/in/t.txt", "x\n");

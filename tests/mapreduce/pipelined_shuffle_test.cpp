@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -262,14 +265,41 @@ TEST(PipelinedShuffleTest, LostTrackerInvalidatesFetchedRunsAndRefetches) {
   const std::string corpus = makeCorpus(150, 62);
   cluster.client().writeFile("/in/corpus.txt", corpus);
 
+  // The test needs a fetched output on a tracker other than the reduce's.
+  // Each tracker has one map slot and the straggler holds one of them, so
+  // the other maps share the two remaining trackers, and nothing made both
+  // of them take one: the first tracker could run every map while the
+  // second's heartbeats found none pending, and when the reduce landed on
+  // that same tracker there was no tracker to kill. So non-straggler map
+  // records wait until maps are running on two trackers: the waiting map
+  // keeps its tracker's slot busy, so the next pending map can only go to
+  // the third tracker. Outputs then sit on two trackers, at least one of
+  // which is not the reduce's.
+  struct Placement {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::set<std::string> hosts;  // trackers that ran a non-straggler map
+  };
+  static Placement placement;
   static std::atomic<bool> straggler_taken{false};
   straggler_taken = false;
+  {
+    std::lock_guard<std::mutex> guard(placement.mu);
+    placement.hosts.clear();
+  }
   JobSpec spec = wordCountSpec({"/in"}, "/out", false, 1);
   spec.mapper = mapperFromLambda(
       [](std::string_view, std::string_view value, TaskContext& ctx) {
         bool expected = false;
         if (straggler_taken.compare_exchange_strong(expected, true)) {
           std::this_thread::sleep_for(std::chrono::milliseconds(2500));
+        } else {
+          const std::string host =
+              dynamic_cast<HdfsFs&>(ctx.fs()).client().clientHost();
+          std::unique_lock<std::mutex> guard(placement.mu);
+          if (placement.hosts.insert(host).second) placement.cv.notify_all();
+          placement.cv.wait_for(guard, std::chrono::seconds(10),
+                                [] { return placement.hosts.size() >= 2; });
         }
         for (const auto& w : splitWhitespace(value)) {
           ctx.emitTyped<std::string, int64_t>(toLowerAscii(w), 1);
