@@ -1,5 +1,6 @@
-// Tentpole benchmark — zero-copy data path. Measures readFile throughput
-// through three data paths on the same MiniDfsCluster: the seed copy path
+// Tentpole benchmark — zero-copy data path. Read leg: measures readFile
+// throughput through three data paths on the same MiniDfsCluster: the seed
+// copy path
 // (legacy call() per block, reply materialized to Bytes at the fabric
 // boundary, then concatenated), the zero-copy RPC path (callBuf views,
 // refcount bumps instead of payload copies), and short-circuit local reads
@@ -9,6 +10,13 @@
 // clock effect on a real job. All paths must produce byte-identical file
 // contents; node-local zero-copy must be >= 2x the seed copy path, and a
 // fully node-local short-circuit read must issue zero readBlock RPCs.
+// Write leg: writeFile throughput at replication 2 and 3 through the old
+// copying pipeline (kept only here, as the baseline: the client packs each
+// block into a fresh buffer, every DataNode copies it into its store and
+// re-packs it for the next hop) and through the zero-copy pipeline (one
+// request buffer per block, adopted as a slice by every replica). Both
+// must store identical bytes, and every zero-copy replica of a block must
+// share one buffer.
 // Writes a machine-readable summary to BENCH_data_path.json (or argv[1]).
 
 #include <cstdint>
@@ -23,8 +31,10 @@
 #include "mh/common/rng.h"
 #include "mh/common/serde.h"
 #include "mh/common/stopwatch.h"
+#include "mh/hdfs/block_store.h"
 #include "mh/hdfs/dfs_client.h"
 #include "mh/hdfs/mini_cluster.h"
+#include "mh/hdfs/wire.h"
 #include "mh/hdfs/types.h"
 #include "mh/mr/mini_mr_cluster.h"
 #include "mh/net/network.h"
@@ -83,10 +93,103 @@ Bytes seedCopyRead(MiniDfsCluster& cluster, const std::string& from,
   return out;
 }
 
-template <typename Fn>
-int64_t bestOfReps(Fn&& run) {
+/// The copying write pipeline the repository used before the zero-copy
+/// one, kept only as this bench's baseline. Per block: the client packs the
+/// payload into a fresh request (copy 1); each DataNode copies it into a
+/// fresh replica (copies 2 and 4) and re-packs the whole block for the next
+/// hop (copy 3). The hosts and block ids are fixed by the bench, so unlike
+/// the real path it pays no NameNode RPCs — which favours the baseline.
+class CopyingPipeline {
+ public:
+  explicit CopyingPipeline(int nodes)
+      : network_(std::make_shared<net::Network>()) {
+    network_->addHost("client");
+    for (int i = 1; i <= nodes; ++i) {
+      const std::string host = "dn" + std::to_string(i);
+      hosts_.push_back(host);
+      stores_[host] = std::make_shared<MemBlockStore>();
+      network_->addHost(host);
+      network_->bindBuf(host, kDataNodePort,
+                        [this, host](const net::BufRpcRequest& req)
+                            -> BufferView {
+        auto [block, data, downstream, stored] =
+            unpack<Block, std::string_view, std::vector<std::string>, bool>(
+                req.body.view());
+        stores_.at(host)->writeBlock(block.id, data);
+        if (!downstream.empty()) {
+          const std::string next = downstream.front();
+          downstream.erase(downstream.begin());
+          network_->call(host, next, kDataNodePort, "writeBlock",
+                         pack(block, data, downstream, stored), "pipeline");
+        }
+        return {};
+      });
+    }
+  }
+
+  /// Drops every replica (the previous file), so reps do not pile up.
+  void clear() {
+    for (const auto& [host, store] : stores_) {
+      for (const BlockId id : store->listBlocks()) store->deleteBlock(id);
+    }
+  }
+
+  void writeFile(std::string_view data, int replication) {
+    const std::vector<std::string> downstream(hosts_.begin() + 1,
+                                              hosts_.begin() + replication);
+    for (uint64_t offset = 0; offset < data.size(); offset += kBlockSize) {
+      const std::string_view payload = data.substr(offset, kBlockSize);
+      network_->call("client", hosts_.front(), kDataNodePort, "writeBlock",
+                     pack(Block{next_id_++, payload.size()}, payload,
+                          downstream, /*stored=*/false),
+                     "pipeline");
+    }
+  }
+
+  /// The last file written, read back from the last replica in the chain.
+  Bytes lastFile(int replication) const {
+    const BlockStore& store = *stores_.at(hosts_[replication - 1]);
+    Bytes out;
+    const BlockId blocks = kFileBytes / kBlockSize;
+    for (BlockId id = next_id_ - blocks; id < next_id_; ++id) {
+      out.append(store.readBlock(id).view());
+    }
+    return out;
+  }
+
+ private:
+  std::shared_ptr<net::Network> network_;
+  std::vector<std::string> hosts_;
+  std::map<std::string, std::shared_ptr<MemBlockStore>> stores_;
+  BlockId next_id_ = 1;
+};
+
+/// True when every replica of every block of `path` is a view of one
+/// shared buffer: the zero-copy pipeline made no copy past the client's.
+bool replicasShareOneBuffer(MiniDfsCluster& cluster, const std::string& path) {
+  for (const LocatedBlock& located :
+       cluster.client().getBlockLocations(path)) {
+    const Bytes* backing = nullptr;
+    for (const std::string& host : located.hosts) {
+      const Bytes* buffer = cluster.dataNode(host)
+                                .store()
+                                .readStored(located.block.id)
+                                .stored.buffer()
+                                .shared()
+                                .get();
+      if (backing == nullptr) backing = buffer;
+      if (buffer != backing) return false;
+    }
+  }
+  return true;
+}
+
+/// Best wall time of kReps runs; `prepare` runs untimed before each one.
+template <typename Fn, typename Prepare = void (*)()>
+int64_t bestOfReps(Fn&& run, Prepare&& prepare = [] {}) {
   int64_t best = INT64_MAX;
   for (int r = 0; r < kReps; ++r) {
+    prepare();
     Stopwatch watch;
     run();
     best = std::min(best, watch.elapsedMicros());
@@ -213,6 +316,65 @@ int main(int argc, char** argv) {
       cluster.network()->messages("read") - read_rpcs_before;
   const int64_t sc_reads = scReads(cluster) - sc_reads_before;
 
+  // Write leg: old copying pipeline vs zero-copy pipeline, replication 2
+  // and 3, each rep writing a fresh file (the previous one is deleted).
+  std::printf("\n=== writeFile pipeline: copying vs zero-copy (%llu MiB, "
+              "%llu MiB blocks) ===\n\n",
+              static_cast<unsigned long long>(kFileBytes >> 20),
+              static_cast<unsigned long long>(kBlockSize >> 20));
+  std::printf("%-18s %-10s %12s %10s\n", "path", "repl", "micros", "MB/s");
+  std::vector<Row> write_rows;
+  bool writes_identical = true;
+  bool writes_shared = true;
+  std::map<int, double> write_speedup;
+  const auto record_write = [&](const std::string& path, int replication,
+                                int64_t micros) {
+    const std::string repl = std::to_string(replication);
+    write_rows.push_back({path, repl, micros, mbPerSec(micros)});
+    std::printf("%-18s %-10s %12lld %10.0f\n", path.c_str(), repl.c_str(),
+                static_cast<long long>(micros), mbPerSec(micros));
+  };
+  for (const int replication : {2, 3}) {
+    CopyingPipeline copying(3);
+    const int64_t copy_us =
+        bestOfReps([&] { copying.writeFile(payload, replication); },
+                   [&] { copying.clear(); });
+    record_write("copy_pipeline", replication, copy_us);
+    writes_identical =
+        writes_identical && copying.lastFile(replication) == payload;
+
+    auto writer = cluster.client();
+    int rep = 0;
+    std::string path;
+    const int64_t zero_us = bestOfReps(
+        [&] {
+          writer.writeFile(path, payload, static_cast<uint16_t>(replication));
+        },
+        [&] {
+          if (!path.empty()) {
+            // Delete the previous rep's file and let every DataNode run
+            // its delete commands now, so reps do not pile up.
+            writer.remove(path, false);
+            for (const auto& host : cluster.dataNodeHosts()) {
+              cluster.dataNode(host).heartbeatNow();
+            }
+          }
+          path = "/bench/w" + std::to_string(replication) + "_" +
+                 std::to_string(rep++);
+        });
+    record_write("zerocopy_pipeline", replication, zero_us);
+    writes_identical = writes_identical && writer.readFile(path) == payload;
+    writes_shared = writes_shared && replicasShareOneBuffer(cluster, path);
+    writer.remove(path, false);
+    write_speedup[replication] =
+        static_cast<double>(copy_us) / static_cast<double>(zero_us);
+  }
+  std::printf("\nwrite speedup (copying -> zero-copy): %.2fx at replication "
+              "2, %.2fx at replication 3; identical: %s; replicas share "
+              "the client's buffer: %s\n",
+              write_speedup[2], write_speedup[3],
+              writes_identical ? "yes" : "NO", writes_shared ? "yes" : "NO");
+
   // Byte-identical across every path: assemble the final views once.
   Bytes assembled;
   assembled.reserve(kFileBytes);
@@ -249,7 +411,12 @@ int main(int argc, char** argv) {
        << "  \"block_bytes\": " << kBlockSize << ",\n"
        << "  \"reps\": " << kReps << ",\n"
        << "  \"outputs_byte_identical\": "
-       << (identical && wc_identical ? "true" : "false") << ",\n"
+       << (identical && wc_identical && writes_identical ? "true" : "false")
+       << ",\n"
+       << "  \"write_replicas_share_one_buffer\": "
+       << (writes_shared ? "true" : "false") << ",\n"
+       << "  \"write_speedup_repl2\": " << write_speedup[2] << ",\n"
+       << "  \"write_speedup_repl3\": " << write_speedup[3] << ",\n"
        << "  \"speedup_node_local\": " << speedup_local << ",\n"
        << "  \"speedup_remote\": " << speedup_remote << ",\n"
        << "  \"short_circuit_reads\": " << sc_reads << ",\n"
@@ -263,14 +430,24 @@ int main(int argc, char** argv) {
          << ", \"mb_per_sec\": " << rows[i].mb_per_sec << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
+  json << "  ],\n  \"write_results\": [\n";
+  for (size_t i = 0; i < write_rows.size(); ++i) {
+    json << "    {\"path\": \"" << write_rows[i].path
+         << "\", \"replication\": " << write_rows[i].locality
+         << ", \"micros\": " << write_rows[i].micros
+         << ", \"mb_per_sec\": " << write_rows[i].mb_per_sec << "}"
+         << (i + 1 < write_rows.size() ? "," : "") << "\n";
+  }
   json << "  ]\n}\n";
   json.close();
   std::printf("wrote %s\n", out_path.c_str());
 
   // Shape gates: identical bytes always; a fully node-local read must not
   // issue a single readBlock RPC and must short-circuit every block; the
-  // zero-copy local path must beat the seed copy path clearly.
-  if (!identical || !wc_identical) return 1;
+  // zero-copy local path must beat the seed copy path clearly; zero-copy
+  // write replicas must share the client's one copy.
+  if (!identical || !wc_identical || !writes_identical) return 1;
+  if (!writes_shared) return 1;
   if (sc_read_rpcs != 0) return 1;
   if (sc_reads < static_cast<int64_t>(kReps * blocks.size())) return 1;
   if (speedup_local < 2.0) return 1;

@@ -53,24 +53,26 @@ void BlockStore::checkReplicaCodec(BlockId id, CodecKind replica_codec) const {
                 std::string(codecName(codec_)));
 }
 
-void BlockStore::writeBlock(BlockId id, std::string_view data) {
+void BlockStore::writeBlock(BlockId id, BufferView data) {
+  const uint64_t raw_size = data.size();
   if (codec_ == CodecKind::kNone) {
-    putStored(id, data, data.size(), CodecKind::kNone);
+    putStored(id, std::move(data), raw_size, CodecKind::kNone);
     return;
   }
-  const Bytes encoded = codecEncode(codec_, data, codec_metrics_, codec_trace_,
-                                    codec_component_);
-  putStored(id, encoded, data.size(), codec_);
+  Bytes encoded = codecEncode(codec_, data.view(), codec_metrics_,
+                              codec_trace_, codec_component_);
+  putStored(id, Buffer::fromString(std::move(encoded)), raw_size, codec_);
 }
 
-void BlockStore::adoptStored(BlockId id, std::string_view stored) {
-  if (isEncodedStream(stored)) {
+void BlockStore::adoptStored(BlockId id, BufferView stored) {
+  if (isEncodedStream(stored.view())) {
     // Header walk only: the raw size is recovered without decompressing,
     // and a torn stream is rejected before it lands in the store.
-    const EncodedStreamInfo info = encodedStreamInfo(stored);
-    putStored(id, stored, info.raw_size, info.codec);
+    const EncodedStreamInfo info = encodedStreamInfo(stored.view());
+    putStored(id, std::move(stored), info.raw_size, info.codec);
   } else {
-    putStored(id, stored, stored.size(), CodecKind::kNone);
+    const uint64_t raw_size = stored.size();
+    putStored(id, std::move(stored), raw_size, CodecKind::kNone);
   }
 }
 
@@ -105,10 +107,12 @@ BufferView BlockStore::readBlockRange(BlockId id, uint64_t offset,
 
 // ---------------------------------------------------------------- memory
 
-void MemBlockStore::putStored(BlockId id, std::string_view stored,
+void MemBlockStore::putStored(BlockId id, BufferView stored,
                               uint64_t raw_size, CodecKind codec) {
-  Replica replica{Buffer::copyOf(stored), chunkChecksums(stored), raw_size,
-                  codec};
+  // The view is adopted as-is: no payload copy, only this replica's own
+  // chunk checksums.
+  std::vector<uint32_t> crcs = chunkChecksums(stored.view());
+  Replica replica{std::move(stored), std::move(crcs), raw_size, codec};
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = replicas_[id];
   used_bytes_ -= slot.data.size();  // overwrite: release the old payload
@@ -136,13 +140,11 @@ StoredReplica MemBlockStore::readStored(BlockId id) const {
     // fresh (unverified) buffer and must not inherit our verdict.
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = replicas_.find(id);
-    if (it != replicas_.end() &&
-        it->second.data.shared().get() == replica.data.shared().get()) {
+    if (it != replicas_.end() && it->second.data.data() == replica.data.data()) {
       it->second.verified = true;
     }
   }
-  return {BufferView(std::move(replica.data)), replica.raw_size,
-          replica.codec};
+  return {std::move(replica.data), replica.raw_size, replica.codec};
 }
 
 bool MemBlockStore::hasBlock(BlockId id) const {
@@ -212,9 +214,11 @@ void MemBlockStore::corruptBlock(BlockId id, size_t byte_offset) {
   if (it == replicas_.end()) {
     throw NotFoundError("block " + std::to_string(id));
   }
-  // Copy-on-write: buffers are shared with outstanding read views, so the
-  // corruption lands in a fresh buffer and the slot is swapped. Readers
-  // holding the old view keep their clean bytes (as with a page cache).
+  // Copy-on-write: buffers are shared with outstanding read views and with
+  // the block's replicas on other DataNodes (they all adopted one request
+  // buffer), so the corruption lands in a fresh buffer and only this slot
+  // is swapped. Readers holding the old view and the other replicas keep
+  // their clean bytes (as with a page cache).
   if (it->second.data.empty()) {
     throw InvalidArgumentError("cannot corrupt empty block");
   }
@@ -241,9 +245,9 @@ fs::path FileBlockStore::metaPath(BlockId id) const {
   return root_ / ("blk_" + std::to_string(id) + ".meta");
 }
 
-void FileBlockStore::putStored(BlockId id, std::string_view stored,
+void FileBlockStore::putStored(BlockId id, BufferView stored,
                                uint64_t raw_size, CodecKind codec) {
-  const auto crcs = chunkChecksums(stored);
+  const auto crcs = chunkChecksums(stored.view());
   std::lock_guard<std::mutex> lock(mutex_);
   {
     std::ofstream out(dataPath(id), std::ios::binary | std::ios::trunc);

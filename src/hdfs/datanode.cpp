@@ -1,11 +1,13 @@
 #include "mh/hdfs/datanode.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "mh/common/error.h"
 #include "mh/common/log.h"
 #include "mh/common/stopwatch.h"
 #include "mh/hdfs/short_circuit.h"
+#include "mh/hdfs/wire.h"
 
 namespace mh::hdfs {
 
@@ -93,6 +95,7 @@ void DataNode::start() {
     Wakeup pace;
     while (pace.wait(token, interval)) beat();
   });
+  tracer_->instant("datanode." + host_, "START");
   logInfo(kLog) << host_ << " started, "
                 << store_->listBlocks().size() << " replicas";
 }
@@ -210,14 +213,16 @@ void DataNode::replicateTo(BlockId block,
   } catch (const NotFoundError&) {
     return;  // replica vanished; NameNode will reschedule elsewhere
   }
-  const bool stored = replica.codec != CodecKind::kNone;
+  // One request for every target: the payload is copied into it once and
+  // each target adopts a slice of it. The empty pipeline means no target
+  // forwards it further.
+  const BufferView request = encodeWriteBlock(
+      {Block{block, replica.raw_size}, {}, replica.codec != CodecKind::kNone},
+      replica.stored.view());
   for (const std::string& target : targets) {
     try {
-      network_->call(host_, target, kDataNodePort, "writeBlock",
-                     pack(Block{block, replica.raw_size},
-                          replica.stored.view(), std::vector<std::string>{},
-                          stored),
-                     "replication");
+      network_->callBuf(host_, target, kDataNodePort, "writeBlock", request,
+                        "replication");
       replications_->add();
     } catch (const NetworkError& e) {
       logWarn(kLog) << host_ << " replication of block " << block << " to "
@@ -227,20 +232,19 @@ void DataNode::replicateTo(BlockId block,
 }
 
 void DataNode::installRpc() {
-  // Buffer endpoint: readBlock replies are views of the store's replica
-  // buffers — a zero-copy caller (DfsClient) receives them uncopied, and a
-  // legacy call() materializes them once at the fabric boundary.
+  // Buffer endpoint: writeBlock requests arrive as views that replicas
+  // adopt, and readBlock replies are views of the store's replica buffers —
+  // payloads cross it uncopied in both directions.
   network_->bindBuf(host_, kDataNodePort, [this](const net::BufRpcRequest& req)
                                               -> BufferView {
     if (req.method == "writeBlock") {
-      // string_view unpack: the payload stays inside the request buffer
-      // until the store copies it into a fresh replica. `stored` marks a
-      // payload already in its resident (framed) form — the replication /
-      // pipeline path — which is adopted byte-for-byte, never re-encoded.
-      auto [block, data, downstream, stored] =
-          unpack<Block, std::string_view, std::vector<std::string>, bool>(
-              req.body.view());
-      if (stored) {
+      // The replica adopts a slice of the request buffer: no payload copy.
+      // `stored` marks a payload already in its resident (framed) form —
+      // the re-replication path — which is adopted byte-for-byte, never
+      // re-encoded.
+      const auto [header, data] = decodeWriteBlock(req.body);
+      const Block& block = header.block;
+      if (header.stored) {
         store_->adoptStored(block.id, data);
       } else {
         store_->writeBlock(block.id, data);
@@ -261,15 +265,18 @@ void DataNode::installRpc() {
                          {{"bytes", std::to_string(data.size())}});
       }
       namenode_.blockReceived(Block{block.id, block.size});
-      if (!downstream.empty()) {
-        const std::string next = downstream.front();
-        downstream.erase(downstream.begin());
+      // Forward the request itself to this node's successor in the
+      // pipeline: the header names every target, so nothing is re-packed.
+      const auto self =
+          std::find(header.pipeline.begin(), header.pipeline.end(), host_);
+      if (self != header.pipeline.end() && self + 1 != header.pipeline.end()) {
+        const std::string& next = *(self + 1);
         try {
-          network_->call(host_, next, kDataNodePort, "writeBlock",
-                         pack(block, data, downstream, stored), "pipeline");
+          network_->callBuf(host_, next, kDataNodePort, "writeBlock", req.body,
+                            "pipeline");
         } catch (const NetworkError& e) {
           // Pipeline recovery: the block lands under-replicated and the
-          // NameNode's monitor repairs it later.
+          // NameNode's monitor repairs it once the file is complete.
           logWarn(kLog) << host_ << " pipeline to " << next
                         << " failed: " << e.what();
         }

@@ -10,6 +10,7 @@
 #include "mh/common/log.h"
 #include "mh/common/trace.h"
 #include "mh/hdfs/short_circuit.h"
+#include "mh/hdfs/wire.h"
 #include "mh/net/fault_plan.h"
 
 namespace mh::hdfs {
@@ -54,22 +55,24 @@ void DfsClient::writeFile(const std::string& path, std::string_view data,
       if (located.hosts.empty()) {
         throw IoError("no targets for block of " + path);
       }
-      // Head of the pipeline gets the data plus the downstream target list.
-      std::vector<std::string> downstream(located.hosts.begin() + 1,
-                                          located.hosts.end());
+      // One request buffer per block, built once: the header names the
+      // whole pipeline and the payload copy made here is the only one —
+      // every DataNode adopts a slice of this buffer and forwards the
+      // buffer itself. A failed head is skipped by sending the same
+      // request to the next host, which forwards to its own successor.
+      const BufferView request = encodeWriteBlock(
+          {Block{located.block.id, payload.size()}, located.hosts,
+           /*stored=*/false},
+          payload);
       bool written = false;
       for (size_t head = 0; head < located.hosts.size() && !written; ++head) {
         try {
-          network_->call(namenode_.localHost(), located.hosts[head],
-                         kDataNodePort, "writeBlock",
-                         pack(Block{located.block.id, payload.size()},
-                              payload, downstream, /*stored=*/false),
-                         "pipeline");
+          network_->callBuf(namenode_.localHost(), located.hosts[head],
+                            kDataNodePort, "writeBlock", request, "pipeline");
           written = true;
         } catch (const NetworkError& e) {
           logWarn(kLog) << "pipeline head " << located.hosts[head]
                         << " failed: " << e.what();
-          if (!downstream.empty()) downstream.erase(downstream.begin());
         }
       }
       if (!written) {

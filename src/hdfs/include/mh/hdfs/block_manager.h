@@ -55,6 +55,10 @@ class BlockManager {
   /// id would alias it onto the new block.
   void reserveBlockIds(BlockId max_seen);
 
+  /// The id the next allocateBlock will issue — the high-water mark the
+  /// fsimage header persists so a restart never re-issues an id.
+  BlockId nextBlockId() const { return next_id_; }
+
   /// Records the finalized size of a block.
   void commitBlock(BlockId id, uint64_t size);
 

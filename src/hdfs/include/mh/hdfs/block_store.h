@@ -19,11 +19,14 @@
 /// throws ChecksumError on a mismatch, which is what drives the
 /// corrupt-replica / re-replication machinery upstream.
 ///
-/// Reads return refcounted BufferViews (buffer.h): MemBlockStore serves a
-/// view of the resident replica itself — zero payload bytes move — while
-/// FileBlockStore wraps the freshly read file. Replicas are immutable once
-/// written; corruptBlock is copy-on-write so outstanding views never see a
-/// mutation.
+/// Writes and reads move refcounted BufferViews (buffer.h). MemBlockStore
+/// adopts the view it is given as the replica — on the write pipeline that
+/// is a slice of the RPC request buffer, so every replica of a block in the
+/// process shares the client's one copy — and serves views of it back, so
+/// zero payload bytes move on either side. FileBlockStore writes the view
+/// to disk and wraps each freshly read file. Replicas are immutable once
+/// written; corruptBlock is copy-on-write so neither outstanding views nor
+/// replicas sharing the buffer ever see a mutation.
 ///
 /// Compression (codec.h): when a codec is configured, writeBlock encodes
 /// the payload into a framed stream and the store holds only the *stored*
@@ -72,16 +75,23 @@ class BlockStore {
   CodecKind codec() const { return codec_; }
 
   /// Stores a replica of the RAW payload, encoding it first when a codec is
-  /// configured; overwrites any previous replica of the same block.
-  void writeBlock(BlockId id, std::string_view data);
+  /// configured; overwrites any previous replica of the same block. Without
+  /// a codec the view itself becomes the replica (no copy).
+  void writeBlock(BlockId id, BufferView data);
 
-  /// Adopts an already-encoded (or raw) replica byte-for-byte — the
-  /// replication receive path, which must never re-encode. Framed payloads
-  /// are structurally validated to recover the raw size; their per-frame
-  /// CRCs still guard the payload end-to-end (chunk checksums are computed
-  /// over the wire bytes, so corruption picked up in transit is caught at
-  /// decode, not masked by a fresh local checksum).
-  void adoptStored(BlockId id, std::string_view stored);
+  /// Copying convenience for callers that hold plain bytes rather than a
+  /// buffer (tests, tools): copies once, then writeBlock(id, view).
+  void writeBlock(BlockId id, std::string_view data) {
+    writeBlock(id, BufferView(Buffer::copyOf(data)));
+  }
+
+  /// Adopts an already-encoded (or raw) replica byte-for-byte and without a
+  /// copy — the replication receive path, which must never re-encode.
+  /// Framed payloads are structurally validated to recover the raw size;
+  /// their per-frame CRCs still guard the payload end-to-end (chunk
+  /// checksums are computed over the wire bytes, so corruption picked up in
+  /// transit is caught at decode, not masked by a fresh local checksum).
+  void adoptStored(BlockId id, BufferView stored);
 
   /// Reads and verifies the replica in its resident form — compressed when
   /// the replica was stored with a codec. No payload copy. This is what
@@ -118,8 +128,9 @@ class BlockStore {
 
   /// Sum of replica payload bytes currently resident in the store — the
   /// STORED form, so compressed replicas count their compressed size.
-  /// Shared buffers are charged once — outstanding read views never
-  /// inflate this.
+  /// Each replica is charged its own size once — outstanding read views
+  /// never inflate this, and a buffer shared with another store's replica
+  /// is charged to each store (each models its own disk).
   virtual uint64_t usedBytes() const = 0;
 
   /// Verifies every replica's checksums; returns ids that fail. This is the
@@ -134,8 +145,8 @@ class BlockStore {
 
  protected:
   /// Stores already-encoded bytes with their logical size and codec.
-  virtual void putStored(BlockId id, std::string_view stored,
-                         uint64_t raw_size, CodecKind codec) = 0;
+  virtual void putStored(BlockId id, BufferView stored, uint64_t raw_size,
+                         CodecKind codec) = 0;
 
   /// Enforces the configured-vs-replica codec policy; raw replicas are
   /// always acceptable (blocks written before compression was enabled).
@@ -161,12 +172,14 @@ class MemBlockStore final : public BlockStore {
   void corruptBlock(BlockId id, size_t byte_offset) override;
 
  protected:
-  void putStored(BlockId id, std::string_view stored, uint64_t raw_size,
+  void putStored(BlockId id, BufferView stored, uint64_t raw_size,
                  CodecKind codec) override;
 
  private:
   struct Replica {
-    Buffer data;  ///< stored form (encoded when codec != kNone)
+    /// Stored form (encoded when codec != kNone). Usually a slice of the
+    /// writeBlock request buffer, shared with the block's other replicas.
+    BufferView data;
     std::vector<uint32_t> crcs;
     uint64_t raw_size = 0;
     CodecKind codec = CodecKind::kNone;
@@ -204,7 +217,7 @@ class FileBlockStore final : public BlockStore {
   const std::filesystem::path& root() const { return root_; }
 
  protected:
-  void putStored(BlockId id, std::string_view stored, uint64_t raw_size,
+  void putStored(BlockId id, BufferView stored, uint64_t raw_size,
                  CodecKind codec) override;
 
  private:

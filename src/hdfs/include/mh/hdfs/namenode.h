@@ -110,7 +110,8 @@ class NameNode {
   LocatedBlock addBlock(const std::string& path,
                         const std::string& client_host);
 
-  /// Finalizes a file: records block sizes into the namespace.
+  /// Finalizes a file: records block sizes into the namespace, and makes
+  /// its blocks eligible for re-replication (see under_construction_).
   void completeFile(const std::string& path);
 
   /// Every block of the file with current replica locations, best-first.
@@ -133,7 +134,8 @@ class NameNode {
                            uint64_t used_bytes, uint64_t num_blocks);
 
   /// Full replica inventory from one DataNode. Returns block ids the
-  /// DataNode should invalidate (blocks the NameNode no longer knows).
+  /// DataNode should invalidate: blocks the NameNode no longer knows, and
+  /// replicas whose length disagrees with the block's committed size.
   std::vector<BlockId> blockReport(const std::string& host,
                                    const std::vector<Block>& blocks);
 
@@ -217,6 +219,12 @@ class NameNode {
   int64_t last_checkpoint_steady_ms_ = 0;
   std::map<std::string, DataNodeDescriptor> datanodes_;
   std::map<BlockId, int64_t> pending_replications_;  // block -> scheduled at
+  /// Blocks allocated by addBlock whose file is not complete yet. The
+  /// monitor does not re-replicate them: their pipeline may still be
+  /// writing the missing replicas. Blocks of incomplete files recovered
+  /// from an image or journal are not in here (no live writer will
+  /// complete them), so those are repaired as usual.
+  std::set<BlockId> under_construction_;
   bool safe_mode_ = false;
   bool started_ = false;
   mutable Rng rng_;

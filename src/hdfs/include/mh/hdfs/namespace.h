@@ -82,10 +82,19 @@ class Namespace {
   uint64_t directoryCount() const { return dir_count_; }
 
   /// Serializes the whole tree — the FsImage used to restart a NameNode.
-  Bytes saveImage() const;
+  /// The image starts with a versioned header that carries
+  /// `next_block_id`, the NameNode's block-id high-water mark: ids of
+  /// deleted files are not in the tree, yet a DataNode that missed the
+  /// delete may still hold their replicas, so a restart must not re-issue
+  /// them.
+  Bytes saveImage(BlockId next_block_id = 0) const;
 
-  /// Rebuilds a namespace from saveImage() output.
-  static Namespace loadImage(std::string_view image);
+  /// Rebuilds a namespace from saveImage() output. Images written before
+  /// the header existed (a bare tree) still load. When `next_block_id` is
+  /// given it receives the header's high-water mark (0 for a headerless
+  /// image).
+  static Namespace loadImage(std::string_view image,
+                             BlockId* next_block_id = nullptr);
 
  private:
   struct INode {

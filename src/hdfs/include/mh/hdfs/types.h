@@ -33,6 +33,20 @@ struct LocatedBlock {
   std::vector<std::string> hosts;  ///< replica locations, best-first
 };
 
+/// Header of a DataNode `writeBlock` request; the payload follows it in
+/// the same request buffer (wire.h: encodeWriteBlock/decodeWriteBlock).
+struct WriteBlockHeader {
+  Block block;  ///< id plus the RAW (logical) payload size
+  /// Every target of the write, in pipeline order. A DataNode that finds
+  /// itself in the list forwards the request to its successor, so the
+  /// request never has to be re-packed; replication requests carry an
+  /// empty list (no forwarding).
+  std::vector<std::string> pipeline;
+  /// True when the payload is already in resident (framed) form — the
+  /// re-replication path — and must be adopted, never re-encoded.
+  bool stored = false;
+};
+
 /// Metadata for one namespace entry.
 struct FileStatus {
   std::string path;

@@ -1,12 +1,17 @@
 #pragma once
 
+#include <string_view>
+#include <utility>
+
+#include "mh/common/buffer.h"
 #include "mh/common/serde.h"
 #include "mh/hdfs/types.h"
 
 /// \file wire.h
 /// Serde specializations for the HDFS control-plane types, so RPC bodies
 /// can be marshalled with pack()/unpack(). Field order is the wire contract;
-/// append-only evolution.
+/// append-only evolution. Also the framing of the one bulk request, the
+/// DataNode `writeBlock`.
 
 namespace mh {
 
@@ -147,5 +152,48 @@ struct Serde<hdfs::FsckReport> {
     return v;
   }
 };
+
+template <>
+struct Serde<hdfs::WriteBlockHeader> {
+  static void encode(ByteWriter& w, const hdfs::WriteBlockHeader& v) {
+    Serde<hdfs::Block>::encode(w, v.block);
+    Serde<std::vector<std::string>>::encode(w, v.pipeline);
+    w.writeBool(v.stored);
+  }
+  static hdfs::WriteBlockHeader decode(ByteReader& r) {
+    hdfs::WriteBlockHeader v;
+    v.block = Serde<hdfs::Block>::decode(r);
+    v.pipeline = Serde<std::vector<std::string>>::decode(r);
+    v.stored = r.readBool();
+    return v;
+  }
+};
+
+namespace hdfs {
+
+/// Builds a `writeBlock` request: the serialized header, then the payload
+/// bytes up to the end of the body. Copying the payload in here is the
+/// only payload copy a write makes: every DataNode hop adopts a slice of
+/// this buffer as its replica and forwards the buffer itself.
+inline BufferView encodeWriteBlock(const WriteBlockHeader& header,
+                                   std::string_view payload) {
+  const Bytes head = serialize(header);
+  Bytes body;
+  body.reserve(head.size() + payload.size());
+  body.append(head);
+  body.append(payload);
+  return Buffer::fromString(std::move(body));
+}
+
+/// Splits a `writeBlock` request into its header and a view of the payload
+/// (no copy: the view shares the request's buffer).
+inline std::pair<WriteBlockHeader, BufferView> decodeWriteBlock(
+    const BufferView& body) {
+  ByteReader r(body.view());
+  WriteBlockHeader header = Serde<WriteBlockHeader>::decode(r);
+  return {std::move(header), body.slice(r.position(), r.remaining())};
+}
+
+}  // namespace hdfs
 
 }  // namespace mh

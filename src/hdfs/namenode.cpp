@@ -52,7 +52,8 @@ NameNode::NameNode(Config conf, std::shared_ptr<net::Network> network,
         "restart from an in-memory fsimage conflicts with "
         "dfs.namenode.name.dir journaling; restart from the name dir");
   }
-  namespace_ = Namespace::loadImage(fsimage);
+  BlockId next_block_id = 0;
+  namespace_ = Namespace::loadImage(fsimage, &next_block_id);
   // Re-register every block the image knows about; locations are unknown
   // until block reports arrive, so enter safe mode.
   for (const auto& path : namespace_.listFilesRecursive("/")) {
@@ -61,6 +62,9 @@ NameNode::NameNode(Config conf, std::shared_ptr<net::Network> network,
       blocks_.registerBlock(block, status.replication);
     }
   }
+  // Ids of files deleted before the image was taken are gone from the tree
+  // but not from every DataNode: never re-issue them.
+  if (next_block_id > 0) blocks_.reserveBlockIds(next_block_id - 1);
   if (blocks_.blockCount() > 0) {
     safe_mode_ = true;
     logInfo(kLog) << "restarted with " << blocks_.blockCount()
@@ -95,8 +99,9 @@ void NameNode::recoverOrFormatStorage() {
     return;
   }
   const LoadedStorage loaded = EditLog::load(dir);
+  BlockId next_block_id = 0;
   if (!loaded.image.empty()) {
-    namespace_ = Namespace::loadImage(loaded.image);
+    namespace_ = Namespace::loadImage(loaded.image, &next_block_id);
   }
   const ReplayResult replayed =
       replayEdits(namespace_, loaded.edits, loaded.image_txn);
@@ -111,6 +116,9 @@ void NameNode::recoverOrFormatStorage() {
       blocks_.registerBlock(block, status.replication);
     }
   }
+  // The image header covers ids allocated before the checkpoint, the
+  // replayed edits those allocated after it.
+  if (next_block_id > 0) blocks_.reserveBlockIds(next_block_id - 1);
   blocks_.reserveBlockIds(replayed.max_block_id);
   if (blocks_.blockCount() > 0) safe_mode_ = true;
   logInfo(kLog) << "recovered namespace from " << dir.string() << ": image txn "
@@ -144,6 +152,7 @@ void NameNode::start() {
     Wakeup pace;
     while (pace.wait(token, interval)) runMonitorOnce();
   });
+  tracer_->instant("namenode", "START");
   logInfo(kLog) << "started on " << host_ << ":" << kNameNodePort;
 }
 
@@ -261,6 +270,7 @@ void NameNode::queueInvalidateLocked(const std::vector<Block>& freed) {
     }
     blocks_.removeBlock(block.id);
     pending_replications_.erase(block.id);
+    under_construction_.erase(block.id);
   }
 }
 
@@ -336,6 +346,7 @@ LocatedBlock NameNode::addBlock(const std::string& path,
   }
   const Block block = blocks_.allocateBlock(status.replication);
   namespace_.addBlock(path, block);
+  under_construction_.insert(block.id);
   EditRecord rec;
   rec.op = EditOp::kAddBlock;
   rec.path = path;
@@ -358,7 +369,11 @@ void NameNode::completeFile(const std::string& path) {
   std::lock_guard<std::mutex> guard(lock_);
   checkNotInSafeModeLocked("complete");
   std::vector<Block> finalized = namespace_.fileBlocks(path);
-  for (Block& block : finalized) block.size = blocks_.blockSize(block.id);
+  for (Block& block : finalized) {
+    block.size = blocks_.blockSize(block.id);
+    // The writer is done: a block its pipeline left short is now repaired.
+    under_construction_.erase(block.id);
+  }
   namespace_.setFileBlocks(path, finalized);
   namespace_.completeFile(path);
   EditRecord rec;
@@ -480,8 +495,18 @@ std::vector<BlockId> NameNode::blockReport(const std::string& host,
       blocks_.markCorrupt(block.id, host);
       continue;
     }
+    // A replica whose length disagrees with the committed block is not
+    // this block (a stale replica under a reused id, or a torn copy).
+    const uint64_t committed = blocks_.blockSize(block.id);
+    if (committed != 0 && block.size != committed) {
+      logWarn(kLog) << "invalidating replica of block " << block.id << " on "
+                    << host << ": length " << block.size << " != committed "
+                    << committed;
+      invalid.push_back(block.id);
+      continue;
+    }
     blocks_.addReplica(block.id, host);
-    if (blocks_.blockSize(block.id) == 0 && block.size > 0) {
+    if (committed == 0 && block.size > 0) {
       blocks_.commitBlock(block.id, block.size);
     }
     pending_replications_.erase(block.id);
@@ -576,7 +601,7 @@ void NameNode::setSafeMode(bool on) {
 
 Bytes NameNode::saveImage() const {
   std::lock_guard<std::mutex> guard(lock_);
-  return namespace_.saveImage();
+  return namespace_.saveImage(blocks_.nextBlockId());
 }
 
 uint64_t NameNode::saveNamespace() {
@@ -603,7 +628,7 @@ uint64_t NameNode::checkpointLocked() {
   if (tracer_->enabled()) {
     span.emplace(tracer_, "namenode", "CHECKPOINT");
   }
-  edits_->checkpoint(namespace_.saveImage());
+  edits_->checkpoint(namespace_.saveImage(blocks_.nextBlockId()));
   const int64_t millis = sw.elapsedMillis();
   metrics_->histogram("checkpoint.millis").record(millis);
   if (span) span->arg("txn", std::to_string(edits_->lastCheckpointTxn()));
@@ -729,6 +754,10 @@ void NameNode::scheduleReplicationLocked() {
 
   for (const BlockId id : blocks_.underReplicated()) {
     if (scheduled >= max_streams) break;
+    // Hadoop 1.x rule: a block whose writer is still streaming it is short
+    // only until its pipeline finishes; copying it now would race the
+    // pipeline and end over-replicated.
+    if (under_construction_.contains(id)) continue;
     const auto pending_it = pending_replications_.find(id);
     if (pending_it != pending_replications_.end() &&
         now - pending_it->second < pending_timeout) {

@@ -371,15 +371,38 @@ std::unique_ptr<Namespace::INode> Namespace::loadNode(ByteReader& r,
   return node;
 }
 
-Bytes Namespace::saveImage() const {
+namespace {
+// Version 2 image header: magic, version byte, block-id high-water mark. A
+// version 1 image is the bare tree, which starts with the root's name "/"
+// (length byte 1, then '/'), so it can never be mistaken for the magic.
+constexpr std::string_view kImageMagic = "MHFSIMG";
+constexpr uint8_t kImageVersion = 2;
+}  // namespace
+
+Bytes Namespace::saveImage(BlockId next_block_id) const {
   Bytes out;
   ByteWriter w(out);
+  w.writeRaw(kImageMagic);
+  w.writeU8(kImageVersion);
+  w.writeVarU64(next_block_id);
   saveNode(*root_, w);
   return out;
 }
 
-Namespace Namespace::loadImage(std::string_view image) {
+Namespace Namespace::loadImage(std::string_view image,
+                               BlockId* next_block_id) {
   ByteReader r(image);
+  BlockId next_id = 0;
+  if (image.starts_with(kImageMagic)) {
+    r.readRaw(kImageMagic.size());
+    const uint8_t version = r.readU8();
+    if (version != kImageVersion) {
+      throw InvalidArgumentError("unsupported fsimage version " +
+                                 std::to_string(version));
+    }
+    next_id = r.readVarU64();
+  }
+  if (next_block_id != nullptr) *next_block_id = next_id;
   Namespace ns;
   uint64_t files = 0;
   uint64_t dirs = 0;

@@ -94,6 +94,7 @@ void JobTracker::start() {
     Wakeup pace;
     while (pace.wait(token, interval)) runMonitorOnce();
   });
+  tracer_->instant("jobtracker", "START");
   logInfo(kLog) << "started on " << host_ << ":" << kJobTrackerPort;
 }
 

@@ -344,6 +344,9 @@ void TaskTracker::start() {
 
   heartbeat_thread_ = std::jthread(
       [this](std::stop_token token) { heartbeatLoop(token); });
+  // Every daemon marks its own trace lane when it starts, so a trace has
+  // one lane per daemon even if no task ever runs here.
+  tracer_->instant("tasktracker." + host_, "START");
   logInfo(kLog) << host_ << " started (" << map_slots_ << "M/"
                 << reduce_slots_ << "R)";
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
+#include <thread>
+
 #include "mh/common/error.h"
 #include "mh/common/rng.h"
 #include "testutil/aggressive_timers.h"
@@ -104,6 +108,148 @@ TEST(MiniDfsClusterTest, PipelineWritesMeterReplicationTraffic) {
   EXPECT_GE(cluster.network()->remoteBytes("pipeline"), 2 * 4096u);
 }
 
+uint64_t replicaCount(MiniDfsCluster& cluster, BlockId id) {
+  uint64_t n = 0;
+  for (const auto& host : cluster.dataNodeHosts()) {
+    if (cluster.dataNode(host).store().hasBlock(id)) ++n;
+  }
+  return n;
+}
+
+TEST(MiniDfsClusterTest, BlockInFlightIsNotReReplicated) {
+  // The NameNode monitor runs every millisecond and every downstream hop
+  // is held back 100 ms, so for a long window the NameNode sees only the
+  // head's replica of a block whose pipeline is still writing the second.
+  // It must not schedule a third copy (which the over-replication pass
+  // would later delete): the block is under construction until complete.
+  Config conf = fastConf();
+  conf.setInt("dfs.namenode.monitor.interval.ms", 1);
+  MiniDfsCluster cluster({.num_datanodes = 3, .conf = conf});
+  auto plan = std::make_shared<net::FaultPlan>(1);
+  for (const auto& host : cluster.dataNodeHosts()) {
+    net::FaultRule rule;
+    rule.match.method = "writeBlock";
+    rule.match.from = host;  // DataNode -> DataNode only; not the client
+    rule.match.tag = "pipeline";
+    rule.action = net::FaultAction::kDelay;
+    rule.delay_micros = 100'000;
+    plan->addRule(rule);
+  }
+  cluster.network()->setFaultPlan(plan);
+  auto client = cluster.client();
+  const Bytes payload = randomPayload(2048, 12);  // 2 blocks
+  client.writeFile("/f", payload);
+  cluster.network()->setFaultPlan(nullptr);
+  EXPECT_EQ(plan->injectedFaults(), 2u);  // one delayed hop per block
+
+  // Give a wrongly scheduled copy and its clean-up time to show up.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_TRUE(cluster.waitHealthy());
+  EXPECT_EQ(cluster.network()->messages("replication"), 0u);
+  EXPECT_EQ(cluster.network()->remoteBytes("replication") +
+                cluster.network()->localBytes("replication"),
+            0u);
+  int64_t deletes = 0;
+  for (const auto& host : cluster.dataNodeHosts()) {
+    deletes += cluster.metrics().child("datanode." + host).counterValue(
+        "deletes");
+  }
+  EXPECT_EQ(deletes, 0);
+  for (const auto& lb : client.getBlockLocations("/f")) {
+    EXPECT_EQ(replicaCount(cluster, lb.block.id), 2u);
+  }
+  EXPECT_EQ(client.readFile("/f"), payload);
+}
+
+TEST(MiniDfsClusterTest, PipelineReplicasShareTheClientsOneCopy) {
+  // Zero-copy write path: the client copies each block once into its
+  // request, and every replica in the pipeline adopts a slice of it.
+  Config conf = fastConf();
+  conf.setInt("dfs.replication", 3);
+  MiniDfsCluster cluster({.num_datanodes = 3, .conf = conf});
+  auto client = cluster.client();
+  const Bytes payload = randomPayload(3000, 13);  // 3 blocks
+  client.writeFile("/f", payload);
+  const auto located = client.getBlockLocations("/f");
+  ASSERT_EQ(located.size(), 3u);
+  for (const auto& lb : located) {
+    ASSERT_EQ(lb.hosts.size(), 3u);
+    const Bytes* backing = nullptr;
+    for (const auto& host : lb.hosts) {
+      const StoredReplica replica =
+          cluster.dataNode(host).store().readStored(lb.block.id);
+      EXPECT_EQ(replica.stored, payload.substr(lb.offset, lb.block.size));
+      const Bytes* buffer = replica.stored.buffer().shared().get();
+      if (backing == nullptr) backing = buffer;
+      EXPECT_EQ(buffer, backing) << "replica on " << host << " was copied";
+    }
+  }
+
+  // Copy-on-write corruption of one replica leaves the others clean.
+  const LocatedBlock& first = located[0];
+  cluster.dataNode(first.hosts[0]).store().corruptBlock(first.block.id, 7);
+  EXPECT_THROW(cluster.dataNode(first.hosts[0]).store().readStored(
+                   first.block.id),
+               ChecksumError);
+  for (size_t i = 1; i < first.hosts.size(); ++i) {
+    BlockStore& store = cluster.dataNode(first.hosts[i]).store();
+    EXPECT_TRUE(store.scanAll().empty()) << first.hosts[i];
+    EXPECT_EQ(store.readBlock(first.block.id), payload.substr(0, 1024));
+  }
+}
+
+TEST(MiniDfsClusterTest, FailedPipelineHeadIsSkippedAndRepairedOnComplete) {
+  // The client's hop to the head fails: the same request goes to the next
+  // host, which forwards it on to the last. The block lands one replica
+  // short and is repaired once the file is complete.
+  Config conf = fastConf();
+  conf.setInt("dfs.replication", 3);
+  MiniDfsCluster cluster({.num_datanodes = 3, .conf = conf});
+  auto plan = std::make_shared<net::FaultPlan>(1);
+  net::FaultRule rule;
+  rule.match.method = "writeBlock";
+  rule.match.from = "client";
+  rule.action = net::FaultAction::kError;
+  rule.nth = 1;
+  plan->addRule(rule);
+  cluster.network()->setFaultPlan(plan);
+  auto client = cluster.client();
+  const Bytes payload = randomPayload(1000, 14);  // 1 block
+  client.writeFile("/f", payload);
+  cluster.network()->setFaultPlan(nullptr);
+  EXPECT_EQ(plan->ruleFires(0), 1u);
+  ASSERT_TRUE(cluster.waitHealthy(15'000));
+  const auto located = client.getBlockLocations("/f");
+  ASSERT_EQ(located.size(), 1u);
+  EXPECT_EQ(located[0].hosts.size(), 3u);
+  EXPECT_EQ(client.readFile("/f"), payload);
+}
+
+TEST(MiniDfsClusterTest, MidPipelineFailureIsRepairedOnComplete) {
+  // The head stores the block but its hop to the second node fails, so the
+  // pipeline stops there. Re-replication restores the factor afterwards.
+  Config conf = fastConf();
+  conf.setInt("dfs.replication", 3);
+  MiniDfsCluster cluster({.num_datanodes = 3, .conf = conf});
+  auto plan = std::make_shared<net::FaultPlan>(1);
+  net::FaultRule rule;
+  rule.match.method = "writeBlock";
+  rule.match.tag = "pipeline";
+  rule.action = net::FaultAction::kError;
+  rule.nth = 2;  // the 1st is client -> head, the 2nd head -> second
+  plan->addRule(rule);
+  cluster.network()->setFaultPlan(plan);
+  auto client = cluster.client();
+  const Bytes payload = randomPayload(1000, 15);  // 1 block
+  client.writeFile("/f", payload);
+  cluster.network()->setFaultPlan(nullptr);
+  EXPECT_EQ(plan->ruleFires(0), 1u);
+  ASSERT_TRUE(cluster.waitHealthy(15'000));
+  EXPECT_GT(cluster.network()->messages("replication"), 0u);
+  EXPECT_EQ(client.getBlockLocations("/f")[0].hosts.size(), 3u);
+  EXPECT_EQ(client.readFile("/f"), payload);
+}
+
 TEST(MiniDfsClusterTest, DataNodeCrashTriggersReReplication) {
   MiniDfsCluster cluster({.num_datanodes = 3, .conf = fastConf()});
   auto client = cluster.client();
@@ -203,7 +349,8 @@ TEST(MiniDfsClusterTest, FrameCrcMismatchSweepsReplicaLikeChecksumError) {
     }
   }
   ASSERT_FALSE(bad.empty());
-  cluster.dataNode("node01").store().adoptStored(located[0].block.id, bad);
+  cluster.dataNode("node01").store().adoptStored(located[0].block.id,
+                                                 Buffer::copyOf(bad));
 
   // Local-first read hits the poisoned frame, falls over, still decodes.
   EXPECT_EQ(cluster.client("node01").readFile("/f"), payload);

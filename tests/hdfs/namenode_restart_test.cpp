@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -61,6 +62,71 @@ class NameNodeRestartTest : public ::testing::Test {
   fs::path root_;
   fs::path name_dir_;
 };
+
+Bytes letters(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Bytes out;
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back(static_cast<char>('a' + rng.uniform(26)));
+  }
+  return out;
+}
+
+/// Block identity across a NameNode restart. node01 is down while /old is
+/// deleted, so it keeps a stale replica of /old's block. After `restart`
+/// the NameNode must not hand /old's block id to /new, and when node01
+/// comes back and reports the stale replica it must be invalidated, never
+/// served as /new's data.
+void expectStaleReplicaNeverServed(MiniDfsCluster& cluster,
+                                   const std::function<void()>& restart) {
+  auto client = cluster.client();
+  client.writeFile("/old", letters(357, 1));
+  const BlockId old_id = client.getBlockLocations("/old").at(0).block.id;
+  cluster.killDataNode("node01");
+  ASSERT_TRUE(cluster.dataNode("node01").store().hasBlock(old_id));
+  ASSERT_TRUE(client.remove("/old", false));
+
+  restart();
+  ASSERT_TRUE(cluster.waitOutOfSafeMode(20'000));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (cluster.nameNode().liveDataNodes() < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(cluster.nameNode().liveDataNodes(), 2u);
+
+  const Bytes fresh = letters(2048, 2);
+  client.writeFile("/new", fresh);
+  EXPECT_NE(client.getBlockLocations("/new").at(0).block.id, old_id);
+
+  // start() registers and sends its block report synchronously.
+  cluster.restartDataNode("node01");
+  EXPECT_FALSE(cluster.dataNode("node01").store().hasBlock(old_id));
+  EXPECT_EQ(cluster.client("node01").readFile("/new"), fresh);
+  EXPECT_EQ(client.readFile("/new"), fresh);
+}
+
+TEST_F(NameNodeRestartTest, ImageRestartNeverReissuesADeletedBlockId) {
+  Config conf = testutil::aggressiveTimers();
+  conf.setInt("dfs.replication", 3);
+  conf.setInt("dfs.blocksize", 4096);
+  MiniDfsCluster cluster({.num_datanodes = 3, .conf = conf});
+  expectStaleReplicaNeverServed(cluster, [&] { cluster.restartNameNode(); });
+}
+
+TEST_F(NameNodeRestartTest, CheckpointedRestartNeverReissuesADeletedBlockId) {
+  // The checkpoint retires the edit segment that journaled /old's block,
+  // so only the image header still knows that id was ever issued.
+  Config conf = journalingConf();
+  conf.setInt("dfs.replication", 3);
+  conf.setInt("dfs.blocksize", 4096);
+  MiniDfsCluster cluster({.num_datanodes = 3, .conf = conf});
+  expectStaleReplicaNeverServed(cluster, [&] {
+    cluster.nameNode().saveNamespace();
+    cluster.restartNameNode();
+  });
+}
 
 TEST_F(NameNodeRestartTest, MissingNameDirIsFormattedFresh) {
   // The directory (and its parents) do not exist: the NameNode must

@@ -278,6 +278,61 @@ TEST_F(NameNodeTest, BlockReportDoesNotLaunderCorruptReplica) {
   EXPECT_EQ(std::count(hosts.begin(), hosts.end(), bad_host), 0);
 }
 
+TEST_F(NameNodeTest, BlockReportInvalidatesReplicaOfTheWrongLength) {
+  registerNodes(3);
+  nn_.create("/f");
+  const auto located = writeBlock("/f", 100);
+  nn_.completeFile("/f");
+  std::string other;
+  for (const char* host : {"n1", "n2", "n3"}) {
+    if (std::find(located.hosts.begin(), located.hosts.end(), host) ==
+        located.hosts.end()) {
+      other = host;
+    }
+  }
+  // A replica under the same id but with another length is not this block.
+  const auto invalid = nn_.blockReport(other, {{located.block.id, 357}});
+  EXPECT_EQ(invalid, std::vector<BlockId>{located.block.id});
+  const auto hosts = nn_.getBlockLocations("/f")[0].hosts;
+  EXPECT_EQ(std::count(hosts.begin(), hosts.end(), other), 0);
+  EXPECT_EQ(nn_.getBlockLocations("/f")[0].block.size, 100u);
+  // The matching length is accepted.
+  EXPECT_TRUE(nn_.blockReport(other, {{located.block.id, 100}}).empty());
+  EXPECT_EQ(nn_.getBlockLocations("/f")[0].hosts.size(), 3u);
+}
+
+TEST_F(NameNodeTest, UnderConstructionBlockIsRepairedOnlyAfterComplete) {
+  registerNodes(3);
+  nn_.create("/f");
+  const LocatedBlock located = nn_.addBlock("/f", "client");
+  ASSERT_EQ(located.hosts.size(), 2u);
+  // Only the head has reported: the pipeline is still writing the rest.
+  nn_.blockReceived(located.hosts[0], {located.block.id, 100});
+  nn_.runMonitorOnce();
+  EXPECT_TRUE(nn_.heartbeat(located.hosts[0], 1 << 20, 0, 0).commands.empty());
+  // Once the writer completes the file, the short block is repaired.
+  nn_.completeFile("/f");
+  nn_.runMonitorOnce();
+  const HeartbeatReply reply = nn_.heartbeat(located.hosts[0], 1 << 20, 0, 0);
+  ASSERT_EQ(reply.commands.size(), 1u);
+  EXPECT_EQ(reply.commands[0].kind, DataNodeCommand::Kind::kReplicate);
+  EXPECT_EQ(reply.commands[0].block, located.block.id);
+}
+
+TEST_F(NameNodeTest, ImageRestartKeepsTheBlockIdHighWaterMark) {
+  registerNodes(2);
+  nn_.create("/gone");
+  const auto gone = writeBlock("/gone", 100);
+  nn_.completeFile("/gone");
+  nn_.remove("/gone", false);
+
+  NameNode restarted(makeConf(), network_, "namenode2", nn_.saveImage());
+  EXPECT_FALSE(restarted.inSafeMode());
+  restarted.registerDataNode("n1", 1 << 20);
+  restarted.create("/fresh");
+  EXPECT_GT(restarted.addBlock("/fresh", "client").block.id, gone.block.id);
+}
+
 TEST_F(NameNodeTest, DataNodeReportShowsLiveness) {
   registerNodes(2);
   const auto report = nn_.datanodeReport();

@@ -212,6 +212,45 @@ TEST(NamespaceTest, ImageRoundTrip) {
   EXPECT_EQ(restored.fileBlocks("/data/f1")[1].size, 60u);
 }
 
+TEST(NamespaceTest, ImageHeaderCarriesTheNextBlockId) {
+  Namespace ns;
+  ns.createFile("/f", 1, 64);
+  ns.addBlock("/f", {3, 64});
+  BlockId next_block_id = 0;
+  const Namespace restored =
+      Namespace::loadImage(ns.saveImage(42), &next_block_id);
+  EXPECT_EQ(next_block_id, 42u);
+  EXPECT_EQ(restored.fileBlocks("/f").at(0).id, 3u);
+}
+
+TEST(NamespaceTest, HeaderlessImageStillLoads) {
+  // An image written before the versioned header existed (the bare tree):
+  // /a/f holds blocks 5 (64 bytes) and 9 (10 bytes) and is complete;
+  // /open is under construction.
+  const std::string hex =
+      "012f01aae6cb87ab6802016101aae6cb87ab6801016600aae6cb87ab68024001020540"
+      "090a046f70656e00aae6cb87ab6801400000";
+  Bytes image;
+  for (size_t i = 0; i < hex.size(); i += 2) {
+    image.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  BlockId next_block_id = 77;
+  const Namespace ns = Namespace::loadImage(image, &next_block_id);
+  EXPECT_EQ(next_block_id, 0u);  // unknown: the caller falls back
+  EXPECT_TRUE(ns.isComplete("/a/f"));
+  EXPECT_FALSE(ns.isComplete("/open"));
+  EXPECT_EQ(ns.getFileStatus("/a/f").length, 74u);
+  EXPECT_EQ(ns.fileBlocks("/a/f"),
+            (std::vector<Block>{{5, 64}, {9, 10}}));
+}
+
+TEST(NamespaceTest, UnknownImageVersionIsRejected) {
+  Namespace ns;
+  Bytes image = ns.saveImage(1);
+  image[7] = 3;  // the version byte follows the 7-byte magic
+  EXPECT_THROW(Namespace::loadImage(image), InvalidArgumentError);
+}
+
 TEST(NamespaceTest, CorruptImageThrows) {
   Namespace ns;
   ns.createFile("/f", 1, 64);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <set>
@@ -54,8 +55,19 @@ class ObservabilityTest : public ::testing::Test {
   // One traced WordCount shared by every assertion in this file (cluster
   // startup dominates the test's cost).
   static void SetUpTestSuite() {
+    // Traced from before the daemons start (the fabric reads MH_TRACE
+    // when it is built): each daemon records a START instant on its own
+    // lane, so every daemon has a lane even if a loaded run never
+    // schedules work on one of the trackers.
+    const char* saved = std::getenv("MH_TRACE");
+    const std::string restore = saved != nullptr ? saved : "";
+    ::setenv("MH_TRACE", "1", 1);
     cluster_ = new MiniMrCluster({.num_nodes = 3, .conf = fastConf()});
-    cluster_->tracer().setEnabled(true);
+    if (saved != nullptr) {
+      ::setenv("MH_TRACE", restore.c_str(), 1);
+    } else {
+      ::unsetenv("MH_TRACE");
+    }
     cluster_->client().writeFile("/in/corpus.txt", makeCorpus(300, 77));
     result_ = new JobResult(
         cluster_->runJob(wordCountSpec({"/in"}, "/out", false, 2)));
